@@ -1,13 +1,37 @@
 #pragma once
 
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <string_view>
 
 #include "analysis/experiment.hpp"
 #include "util/args.hpp"
+#include "util/error.hpp"
 
 namespace ps::bench {
+
+/// Reads a harness's command line: declares `--help`, parses argv into
+/// `parser`, then calls `read(parser)` to pull the typed values. `--help`
+/// prints the options and exits 0; an unknown option, a missing value or
+/// a malformed number prints one line to stderr and exits 2.
+template <typename Read>
+auto read_command_line(util::ArgParser& parser, int argc,
+                       const char* const* argv, Read read) {
+  parser.add_flag("--help", "print this help and exit");
+  try {
+    parser.parse(argc, argv);
+    if (parser.flag("--help")) {
+      std::printf("usage: %s [options]\n%s", argv[0], parser.help().c_str());
+      std::exit(0);
+    }
+    return read(parser);
+  } catch (const InvalidArgument& error) {
+    std::fprintf(stderr, "%s: %s (see --help)\n", argv[0], error.what());
+    std::exit(2);
+  }
+}
 
 /// Shared command line for the figure/table harnesses:
 ///   --quick        reduced scale (12 nodes/job, 20 iterations)
@@ -27,23 +51,24 @@ inline analysis::ExperimentOptions parse_options(int argc, char** argv) {
       .add_option("--jobs", "0",
                   "sweep worker threads (0 = all cores, 1 = serial)")
       .add_option("--out", "", "CSV output path (default: under build/)");
-  parser.parse(argc, argv);
-
-  analysis::ExperimentOptions options;
-  options.characterization_iterations = 5;
-  if (parser.flag("--quick")) {
-    options.nodes_per_job =
-        parser.provided("--nodes") ? parser.option_size("--nodes") : 12;
-    options.iterations = parser.provided("--iterations")
-                             ? parser.option_size("--iterations")
-                             : 20;
-  } else {
-    options.nodes_per_job = parser.option_size("--nodes");
-    options.iterations = parser.option_size("--iterations");
-  }
-  options.hardware_variation = !parser.flag("--no-variation");
-  options.sweep_workers = parser.option_size("--jobs");
-  return options;
+  const auto read = [](const util::ArgParser& args) {
+    analysis::ExperimentOptions options;
+    options.characterization_iterations = 5;
+    if (args.flag("--quick")) {
+      options.nodes_per_job =
+          args.provided("--nodes") ? args.option_size("--nodes") : 12;
+      options.iterations = args.provided("--iterations")
+                               ? args.option_size("--iterations")
+                               : 20;
+    } else {
+      options.nodes_per_job = args.option_size("--nodes");
+      options.iterations = args.option_size("--iterations");
+    }
+    options.hardware_variation = !args.flag("--no-variation");
+    options.sweep_workers = args.option_size("--jobs");
+    return options;
+  };
+  return read_command_line(parser, argc, argv, read);
 }
 
 /// Where a harness should write its CSV deliverable: `--out PATH` wins;

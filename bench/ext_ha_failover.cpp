@@ -26,8 +26,10 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/endpoint.hpp"
 #include "ha/replicator.hpp"
 #include "ha/standby.hpp"
@@ -173,9 +175,11 @@ int main(int argc, char** argv) {
   parser.add_option("--episodes", "7", "kill-and-takeover episodes")
       .add_option("--lease", "300", "replication lease in milliseconds")
       .add_option("--out", "", "JSON output path (default: stdout only)");
-  parser.parse(argc, argv);
-  const auto episodes = static_cast<int>(parser.option_size("--episodes"));
-  const milliseconds lease(parser.option_size("--lease"));
+  const auto [episodes, lease] = ps::bench::read_command_line(
+      parser, argc, argv, [](const ps::util::ArgParser& args) {
+        return std::pair(static_cast<int>(args.option_size("--episodes")),
+                         milliseconds(args.option_size("--lease")));
+      });
 
   ps::obs::MetricsRegistry registry;
   const ps::obs::Observability obs{&registry, nullptr};

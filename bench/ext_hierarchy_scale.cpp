@@ -36,8 +36,10 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/endpoint.hpp"
 #include "net/aggregator.hpp"
 #include "net/daemon.hpp"
@@ -189,14 +191,14 @@ int main(int argc, char** argv) {
       .add_option("--out", "ext_hierarchy_scale.csv",
                   "per-round CSV (deterministic; --jobs invariant)")
       .add_option("--json", "", "latency/leak summary JSON path");
-  parser.parse(argc, argv);
-
-  std::size_t total_clients = parser.flag("--quick")
-                                  ? 512
-                                  : parser.option_size("--clients");
-  const std::size_t rounds =
-      parser.flag("--quick") ? 3 : parser.option_size("--rounds");
-  const std::size_t driver_jobs = parser.option_size("--jobs");
+  auto [total_clients, rounds, driver_jobs] = ps::bench::read_command_line(
+      parser, argc, argv, [](const ps::util::ArgParser& args) {
+        const bool quick = args.flag("--quick");
+        return std::tuple<std::size_t, std::size_t, std::size_t>(
+            quick ? 512 : args.option_size("--clients"),
+            quick ? 3 : args.option_size("--rounds"),
+            args.option_size("--jobs"));
+      });
 
   const std::size_t capacity = fd_capacity_clients();
   if (total_clients > capacity) {

@@ -11,10 +11,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -40,16 +40,15 @@ struct CaseResult {
 
 int main(int argc, char** argv) {
   using namespace ps;
-  bool quick = false;
-  std::size_t workers = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      workers = static_cast<std::size_t>(std::strtoull(argv[i + 1],
-                                                       nullptr, 10));
-    }
-  }
+  util::ArgParser parser;
+  parser.add_flag("--quick", "reduced scale (16 nodes, 36 h horizon)")
+      .add_option("--jobs", "0",
+                  "sweep worker threads (0 = all cores, 1 = serial)")
+      .add_option("--out", "", "CSV output path (default: under build/)");
+  auto [quick, workers] = bench::read_command_line(
+      parser, argc, argv, [](const util::ArgParser& args) {
+        return std::pair(args.flag("--quick"), args.option_size("--jobs"));
+      });
 
   const std::size_t nodes = quick ? 16 : 32;
   const double horizon = quick ? 36.0 : 96.0;

@@ -19,6 +19,8 @@
 #include "core/coordination.hpp"
 #include "core/endpoint.hpp"
 #include "core/policies.hpp"
+#include "hw/node.hpp"
+#include "hw/rapl.hpp"
 #include "kernel/arithmetic_kernel.hpp"
 #include "net/client.hpp"
 #include "net/daemon.hpp"
@@ -136,6 +138,45 @@ void BM_SimulatorIteration(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SimulatorIteration)->Arg(100)->Arg(900);
+
+// Per-layer numbers for the hw substrate under the simulator: the RAPL
+// energy counter every phase accrues into, the node cap write every
+// allocation applies, and the barrier poll every waiting host runs.
+void BM_RaplAccumulateEnergy(benchmark::State& state) {
+  hw::RaplPackageDomain package(hw::QuartzSpec::kTdpPerSocketW,
+                                hw::QuartzSpec::kMinRaplPerSocketW);
+  const double joules = static_cast<double>(state.range(0)) * 1e-3;
+  for (auto _ : state) {
+    package.accumulate_energy(joules);
+    benchmark::DoNotOptimize(&package);
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(package.read_energy_joules());
+}
+BENCHMARK(BM_RaplAccumulateEnergy)->Arg(1250);
+
+void BM_NodeSetPowerCap(benchmark::State& state) {
+  hw::NodeParams params;
+  params.cap_split = hw::CapSplitPolicy::kEfficiencyAware;
+  hw::NodeModel node(0, 1.0, 1.1, params);
+  const double low = static_cast<double>(state.range(0));
+  double cap = low;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(node.set_power_cap(cap));
+    cap = cap >= low + 90.0 ? low : cap + 1.0;
+  }
+}
+BENCHMARK(BM_NodeSetPowerCap)->Arg(160);
+
+void BM_NodeRunPoll(benchmark::State& state) {
+  hw::NodeModel node(0, 1.0);
+  node.set_power_cap(static_cast<double>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(node.run_poll(0.01));
+  }
+  benchmark::DoNotOptimize(node.read_energy_joules());
+}
+BENCHMARK(BM_NodeRunPoll)->Arg(200);
 
 void BM_TreeAggregate(benchmark::State& state) {
   const runtime::TreeTopology tree = runtime::TreeTopology::balanced(

@@ -77,57 +77,41 @@ std::vector<MsrAccessEntry> parse_msr_allowlist(std::string_view text) {
 
 MsrFile::MsrFile() : MsrFile(default_allowlist()) {}
 
-MsrFile::MsrFile(std::vector<MsrAccessEntry> allowlist)
-    : allowlist_(std::move(allowlist)) {}
-
-const MsrAccessEntry* MsrFile::find_entry(
-    std::uint32_t address) const noexcept {
-  for (const auto& entry : allowlist_) {
-    if (entry.address == address) {
-      return &entry;
-    }
+MsrFile::MsrFile(const std::vector<MsrAccessEntry>& allowlist) {
+  registers_.reserve(allowlist.size());
+  for (const MsrAccessEntry& entry : allowlist) {
+    registers_.push_back({entry.address, true, entry.write_mask, 0});
   }
-  return nullptr;
+}
+
+std::size_t MsrFile::allowlisted_slot(std::uint32_t address) const {
+  const std::size_t slot = slot_of(address);
+  if (slot == registers_.size() || !registers_[slot].allowlisted) {
+    throw NotFound("MSR " + hex_address(address) + " is not allowlisted");
+  }
+  return slot;
 }
 
 std::uint64_t MsrFile::read(std::uint32_t address) const {
-  const MsrAccessEntry* entry = find_entry(address);
-  if (entry == nullptr) {
-    throw NotFound("MSR " + hex_address(address) + " is not allowlisted");
-  }
-  return hw_load(address);
+  return registers_[allowlisted_slot(address)].value;
 }
 
 void MsrFile::write(std::uint32_t address, std::uint64_t value) {
-  const MsrAccessEntry* entry = find_entry(address);
-  if (entry == nullptr) {
-    throw NotFound("MSR " + hex_address(address) + " is not allowlisted");
-  }
-  if (entry->write_mask == 0) {
+  Register& slot = registers_[allowlisted_slot(address)];
+  if (slot.write_mask == 0) {
     throw NotFound("MSR " + hex_address(address) + " is read-only");
   }
-  const std::uint64_t current = hw_load(address);
-  const std::uint64_t merged =
-      (current & ~entry->write_mask) | (value & entry->write_mask);
-  hw_store(address, merged);
-}
-
-void MsrFile::hw_store(std::uint32_t address, std::uint64_t value) {
-  registers_[address] = value;
-}
-
-std::uint64_t MsrFile::hw_load(std::uint32_t address) const noexcept {
-  const auto it = registers_.find(address);
-  return it == registers_.end() ? 0 : it->second;
+  slot.value = (slot.value & ~slot.write_mask) | (value & slot.write_mask);
 }
 
 bool MsrFile::is_readable(std::uint32_t address) const noexcept {
-  return find_entry(address) != nullptr;
+  const std::size_t slot = slot_of(address);
+  return slot < registers_.size() && registers_[slot].allowlisted;
 }
 
 bool MsrFile::is_writable(std::uint32_t address) const noexcept {
-  const MsrAccessEntry* entry = find_entry(address);
-  return entry != nullptr && entry->write_mask != 0;
+  return is_readable(address) &&
+         registers_[slot_of(address)].write_mask != 0;
 }
 
 }  // namespace ps::hw

@@ -1,8 +1,8 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace ps::hw {
@@ -39,13 +39,16 @@ struct MsrAccessEntry {
 /// implemented on top of these registers exactly as the real driver stack
 /// (msr-safe -> libmsr/GEOPM PlatformIO) layers on real MSRs, including the
 /// 32-bit wrapping energy counter.
+///
+/// Registers sit in one flat slot array (allowlist order, then backdoor-only
+/// addresses), scanned linearly: a package has only a handful.
 class MsrFile {
  public:
   /// Constructs with the default allowlist (RAPL registers, as msr-safe
   /// ships for power management use).
   MsrFile();
 
-  explicit MsrFile(std::vector<MsrAccessEntry> allowlist);
+  explicit MsrFile(const std::vector<MsrAccessEntry>& allowlist);
 
   /// Reads a 64-bit register. Throws ps::NotFound if not allowlisted.
   [[nodiscard]] std::uint64_t read(std::uint32_t address) const;
@@ -57,17 +60,42 @@ class MsrFile {
 
   /// Backdoor used by the hardware model itself (not subject to the
   /// allowlist) — e.g. the package updating its own energy counter.
-  void hw_store(std::uint32_t address, std::uint64_t value);
-  [[nodiscard]] std::uint64_t hw_load(std::uint32_t address) const noexcept;
+  void hw_store(std::uint32_t address, std::uint64_t value) {
+    const std::size_t slot = slot_of(address);
+    if (slot == registers_.size()) {
+      registers_.push_back({address, false, 0, 0});
+    }
+    registers_[slot].value = value;
+  }
+  /// Unwritten registers read 0.
+  [[nodiscard]] std::uint64_t hw_load(std::uint32_t address) const noexcept {
+    const std::size_t slot = slot_of(address);
+    return slot == registers_.size() ? 0 : registers_[slot].value;
+  }
 
   [[nodiscard]] bool is_readable(std::uint32_t address) const noexcept;
   [[nodiscard]] bool is_writable(std::uint32_t address) const noexcept;
 
  private:
-  const MsrAccessEntry* find_entry(std::uint32_t address) const noexcept;
+  struct Register {
+    std::uint32_t address = 0;
+    bool allowlisted = false;  ///< False for backdoor-only registers.
+    std::uint64_t write_mask = 0;
+    std::uint64_t value = 0;
+  };
 
-  std::vector<MsrAccessEntry> allowlist_;
-  std::unordered_map<std::uint32_t, std::uint64_t> registers_;
+  /// Index of the slot holding `address`, or registers_.size().
+  [[nodiscard]] std::size_t slot_of(std::uint32_t address) const noexcept {
+    std::size_t slot = 0;
+    while (slot < registers_.size() && registers_[slot].address != address) {
+      ++slot;
+    }
+    return slot;
+  }
+  /// Index of the allowlisted slot holding `address`; throws ps::NotFound.
+  [[nodiscard]] std::size_t allowlisted_slot(std::uint32_t address) const;
+
+  std::vector<Register> registers_;
 };
 
 }  // namespace ps::hw

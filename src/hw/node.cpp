@@ -14,18 +14,19 @@ NodeModel::NodeModel(NodeId id, double eta_socket0, double eta_socket1,
                      const NodeParams& params)
     : id_(id),
       eta_((eta_socket0 + eta_socket1) / 2.0),
-      etas_({eta_socket0, eta_socket1}),
+      etas_{eta_socket0, eta_socket1},
       params_(params),
       power_model_(params.power),
-      roofline_(params.roofline) {
+      roofline_(params.roofline),
+      packages_{RaplPackageDomain(params.tdp_per_socket_watts,
+                                  params.min_rapl_per_socket_watts),
+                RaplPackageDomain(params.tdp_per_socket_watts,
+                                  params.min_rapl_per_socket_watts)} {
+  // The initializers above name each of the two packages.
+  static_assert(QuartzSpec::kSocketsPerNode == 2);
   PS_REQUIRE(eta_socket0 > 0.0 && eta_socket1 > 0.0,
              "package efficiency multipliers must be positive");
   frequency_cap_ghz_ = params_.power.max_frequency_ghz;
-  packages_.reserve(QuartzSpec::kSocketsPerNode);
-  for (std::size_t s = 0; s < QuartzSpec::kSocketsPerNode; ++s) {
-    packages_.emplace_back(params.tdp_per_socket_watts,
-                           params.min_rapl_per_socket_watts);
-  }
 }
 
 double NodeModel::eta_of(std::size_t socket) const {
@@ -33,11 +34,11 @@ double NodeModel::eta_of(std::size_t socket) const {
   return etas_[socket];
 }
 
-std::vector<double> NodeModel::split_node_cap(double node_watts) const {
+NodeModel::SocketCaps NodeModel::split_node_cap(double node_watts) const {
   const double package_total = node_watts - params_.dram_watts;
   const std::size_t count = packages_.size();
-  std::vector<double> caps(count,
-                           package_total / static_cast<double>(count));
+  SocketCaps caps;
+  caps.fill(package_total / static_cast<double>(count));
   if (params_.cap_split == CapSplitPolicy::kEfficiencyAware) {
     // Equal package frequencies need (C_i - idle) proportional to eta_i:
     // C_i = idle + eta_i * k with sum(C_i) = package_total.
@@ -58,7 +59,7 @@ std::vector<double> NodeModel::split_node_cap(double node_watts) const {
 double NodeModel::set_power_cap(double node_watts) {
   PS_REQUIRE(std::isfinite(node_watts) && node_watts > params_.dram_watts,
              "node power cap must exceed the uncappable DRAM power");
-  const std::vector<double> split = split_node_cap(node_watts);
+  const SocketCaps split = split_node_cap(node_watts);
   double applied = params_.dram_watts;
   for (std::size_t s = 0; s < packages_.size(); ++s) {
     applied += packages_[s].set_power_limit(split[s]);
@@ -159,18 +160,14 @@ const PhaseResult& NodeModel::compute_solution(double gigabytes,
   key.gigabytes = gigabytes;
   key.intensity = intensity;
   key.width = width;
-  // The cache key holds two sockets; nodes are dual-socket by
-  // construction (QuartzSpec), so this covers every package.
-  static_assert(QuartzSpec::kSocketsPerNode == 2);
   for (std::size_t s = 0; s < packages_.size(); ++s) {
     key.socket_caps[s] = packages_[s].power_limit();
   }
   key.frequency_cap_ghz = frequency_cap_ghz_;
   if (!solve_cache_enabled_ || !compute_cache_valid_ ||
       !(key == compute_key_)) {
-    compute_cached_ = solve_compute(
-        gigabytes, intensity, width,
-        std::span<const double>(key.socket_caps, packages_.size()));
+    compute_cached_ =
+        solve_compute(gigabytes, intensity, width, key.socket_caps);
     compute_key_ = key;
     compute_cache_valid_ = true;
   }
@@ -235,7 +232,7 @@ PhaseResult NodeModel::preview_compute(double gigabytes, double intensity,
   const double clamped =
       std::clamp(frequency_cap_ghz, params_.power.min_frequency_ghz,
                  params_.power.max_frequency_ghz);
-  std::vector<double> split = split_node_cap(node_cap_watts);
+  SocketCaps split = split_node_cap(node_cap_watts);
   // Previews honor the same firmware clamping a real write would apply.
   for (double& cap : split) {
     cap = std::clamp(cap, params_.min_rapl_per_socket_watts,
@@ -247,7 +244,7 @@ PhaseResult NodeModel::preview_compute(double gigabytes, double intensity,
 double NodeModel::poll_power(double node_cap_watts) const {
   PS_REQUIRE(node_cap_watts > params_.dram_watts,
              "node cap must exceed the uncappable DRAM power");
-  std::vector<double> split = split_node_cap(node_cap_watts);
+  SocketCaps split = split_node_cap(node_cap_watts);
   for (double& cap : split) {
     cap = std::clamp(cap, params_.min_rapl_per_socket_watts,
                      1.5 * params_.tdp_per_socket_watts);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -186,8 +187,10 @@ class NodeModel {
   /// Splits node energy between the DRAM plane and the RAPL counters.
   void accrue_energy(double node_joules, double seconds);
 
+  using SocketCaps = std::array<double, QuartzSpec::kSocketsPerNode>;
+
   /// Per-package cap split for a node-level cap, honoring cap_split.
-  [[nodiscard]] std::vector<double> split_node_cap(double node_watts) const;
+  [[nodiscard]] SocketCaps split_node_cap(double node_watts) const;
 
   /// Memo key: every input that reaches the compute solver. Caps are
   /// sampled from the live package registers on every lookup rather than
@@ -197,7 +200,7 @@ class NodeModel {
     double gigabytes = 0.0;
     double intensity = 0.0;
     VectorWidth width = VectorWidth::kScalar;
-    double socket_caps[2] = {0.0, 0.0};
+    SocketCaps socket_caps{};
     double frequency_cap_ghz = 0.0;
 
     bool operator==(const SolveKey&) const = default;
@@ -205,11 +208,11 @@ class NodeModel {
 
   NodeId id_;
   double eta_;
-  std::vector<double> etas_;
+  std::array<double, QuartzSpec::kSocketsPerNode> etas_;
   NodeParams params_;
   SocketPowerModel power_model_;
   RooflineModel roofline_;
-  std::vector<RaplPackageDomain> packages_;
+  std::array<RaplPackageDomain, QuartzSpec::kSocketsPerNode> packages_;
   std::vector<GpuModel> gpus_;
   double dram_energy_joules_ = 0.0;
   double frequency_cap_ghz_ = 0.0;  ///< Set to f_max by the constructor.

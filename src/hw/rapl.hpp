@@ -42,9 +42,13 @@ class RaplPackageDomain {
   [[nodiscard]] double read_energy_joules();
 
   /// Joules represented by one LSB of the energy counter.
-  [[nodiscard]] double energy_unit_joules() const noexcept;
+  [[nodiscard]] double energy_unit_joules() const noexcept {
+    return energy_unit_joules_;
+  }
   /// Watts represented by one LSB of the power-limit field.
-  [[nodiscard]] double power_unit_watts() const noexcept;
+  [[nodiscard]] double power_unit_watts() const noexcept {
+    return power_unit_watts_;
+  }
 
   [[nodiscard]] MsrFile& msr_file() noexcept { return msrs_; }
   [[nodiscard]] const MsrFile& msr_file() const noexcept { return msrs_; }
@@ -53,6 +57,10 @@ class RaplPackageDomain {
   double tdp_watts_;
   double min_watts_;
   MsrFile msrs_;
+  /// MSR_RAPL_POWER_UNIT, decoded once: software cannot write it (its
+  /// write mask is empty), so the units never change after construction.
+  double power_unit_watts_ = 0.0;
+  double energy_unit_joules_ = 0.0;
   double fractional_energy_ = 0.0;  ///< Sub-LSB residue awaiting the counter.
   std::uint32_t last_counter_ = 0;
   double unwrapped_joules_ = 0.0;

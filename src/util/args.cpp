@@ -1,11 +1,30 @@
 #include "util/args.hpp"
 
+#include <charconv>
 #include <sstream>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace ps::util {
+
+namespace {
+/// Parses all of `text` as a T, or throws InvalidArgument naming the
+/// option. from_chars takes no leading whitespace or '+', and a '-' only
+/// for signed and floating types, so a negative count never wraps.
+template <typename T>
+T parse_whole(std::string_view name, const std::string& text,
+              const char* kind) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) {
+    throw InvalidArgument("option '" + std::string(name) + "' is not " +
+                          kind + ": '" + text + "'");
+  }
+  return value;
+}
+}  // namespace
 
 ArgParser& ArgParser::add_flag(std::string name, std::string help) {
   PS_REQUIRE(starts_with(name, "--"), "option names start with --");
@@ -71,23 +90,11 @@ const std::string& ArgParser::option(std::string_view name) const {
 }
 
 double ArgParser::option_double(std::string_view name) const {
-  const std::string& text = option(name);
-  try {
-    return std::stod(text);
-  } catch (const std::exception&) {
-    throw InvalidArgument("option '" + std::string(name) +
-                          "' is not a number: '" + text + "'");
-  }
+  return parse_whole<double>(name, option(name), "a number");
 }
 
 std::size_t ArgParser::option_size(std::string_view name) const {
-  const std::string& text = option(name);
-  try {
-    return std::stoul(text);
-  } catch (const std::exception&) {
-    throw InvalidArgument("option '" + std::string(name) +
-                          "' is not a count: '" + text + "'");
-  }
+  return parse_whole<std::size_t>(name, option(name), "a count");
 }
 
 std::string ArgParser::help() const {

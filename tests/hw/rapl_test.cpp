@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
 #include "util/error.hpp"
 
 namespace ps::hw {
@@ -98,6 +101,68 @@ TEST(RaplTest, LimitSurvivesMsrRoundTrip) {
             static_cast<std::uint64_t>(90.0 / rapl.power_unit_watts()));
   EXPECT_NE(raw & (1ULL << 15), 0u);  // enable bit
   EXPECT_NE(raw & (1ULL << 16), 0u);  // clamp bit
+}
+
+TEST(RaplTest, CopyIsIndependentOfSource) {
+  RaplPackageDomain source(kTdp, kMin);
+  source.set_power_limit(90.0);
+  source.accumulate_energy(10.0);
+  RaplPackageDomain copy = source;
+  copy.set_power_limit(100.0);
+  copy.accumulate_energy(5.0);
+  EXPECT_DOUBLE_EQ(source.power_limit(), 90.0);
+  EXPECT_NEAR(source.read_energy_joules(), 10.0, 1e-3);
+  EXPECT_DOUBLE_EQ(copy.power_limit(), 100.0);
+  EXPECT_NEAR(copy.read_energy_joules(), 15.0, 1e-3);
+}
+
+TEST(RaplTest, PowerLimitReflectsOutOfBandWrite) {
+  RaplPackageDomain rapl(kTdp, kMin);
+  // Software (PlatformIO) programs the register directly: 80 W in 1/8 W
+  // units, enable and clamp bits set.
+  rapl.msr_file().write(msr::kPkgPowerLimit,
+                        (80ULL * 8) | (1ULL << 15) | (1ULL << 16));
+  EXPECT_DOUBLE_EQ(rapl.power_limit(), 80.0);
+}
+
+TEST(RaplTest, SmallAccumulationsAcrossWrapMatchReference) {
+  RaplPackageDomain rapl(kTdp, kMin);
+  const double unit = rapl.energy_unit_joules();
+  // Reference model of the package: the same fixed-point formula, kept
+  // outside the register file.
+  double fractional = 0.0;
+  std::uint32_t counter = 0;
+  std::uint32_t last_counter = 0;
+  double unwrapped = 0.0;
+  const auto accumulate = [&](double joules) {
+    rapl.accumulate_energy(joules);
+    fractional += joules / unit;
+    const double whole = std::floor(fractional);
+    fractional -= whole;
+    counter += static_cast<std::uint32_t>(
+        static_cast<std::uint64_t>(whole) & 0xffffffffULL);
+  };
+  const auto read_reference = [&] {
+    const std::uint32_t delta = counter - last_counter;
+    last_counter = counter;
+    unwrapped += static_cast<double>(delta) * unit;
+    return unwrapped;
+  };
+
+  // Park the counter 1 J below the 32-bit wrap.
+  accumulate(4294967296.0 * unit - 1.0);
+  ASSERT_EQ(rapl.read_energy_joules(), read_reference());
+  bool wrapped = false;
+  for (int i = 1; i <= 100000; ++i) {
+    const std::uint32_t before = counter;
+    accumulate(3e-5);
+    wrapped = wrapped || counter < before;
+    if (i % 1000 == 0) {
+      ASSERT_EQ(rapl.read_energy_counter(), counter) << "call " << i;
+      ASSERT_EQ(rapl.read_energy_joules(), read_reference()) << "call " << i;
+    }
+  }
+  EXPECT_TRUE(wrapped);
 }
 
 }  // namespace

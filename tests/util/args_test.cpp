@@ -67,6 +67,34 @@ TEST(ArgParserTest, TypeMismatchesRejected) {
                ps::InvalidArgument);
 }
 
+TEST(ArgParserTest, CountsRejectSignsTrailingGarbageAndOverflow) {
+  for (const char* text :
+       {"-3", "-0", "+3", "12abc", " 12", "12 ", "1.5", "0x10", "",
+        "18446744073709551616"}) {
+    ArgParser parser = make_parser();
+    parse(parser, {"--nodes", text});
+    EXPECT_THROW(static_cast<void>(parser.option_size("--nodes")),
+                 ps::InvalidArgument)
+        << "'" << text << "'";
+  }
+  ArgParser parser = make_parser();
+  parse(parser, {"--nodes", "18446744073709551615"});
+  EXPECT_EQ(parser.option_size("--nodes"), 18446744073709551615u);
+}
+
+TEST(ArgParserTest, NumbersRejectTrailingGarbage) {
+  for (const char* text : {"1.5x", "x1.5", "1.5 ", " 1.5", "", "1e", "--1"}) {
+    ArgParser parser = make_parser();
+    parse(parser, {"--rate", text});
+    EXPECT_THROW(static_cast<void>(parser.option_double("--rate")),
+                 ps::InvalidArgument)
+        << "'" << text << "'";
+  }
+  ArgParser parser = make_parser();
+  parse(parser, {"--rate", "-2.5e-1"});
+  EXPECT_DOUBLE_EQ(parser.option_double("--rate"), -0.25);
+}
+
 TEST(ArgParserTest, ReparseResetsState) {
   ArgParser parser = make_parser();
   parse(parser, {"--quick", "--nodes", "8"});
