@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/degradation.hpp"
 #include "core/invariants.hpp"
+#include "core/rm_step.hpp"
 #include "obs/replay.hpp"
 #include "rm/power_manager.hpp"
 #include "util/error.hpp"
@@ -236,16 +236,15 @@ CoordinationResult CoordinationLoop::run_dynamic(
       live_[j].gpu_demand_watts.assign(jobs[j]->host_count(), 0.0);
     }
     for (std::size_t h = 0; h < jobs[j]->host_count(); ++h) {
-      if (jobs[j]->host_has_gpu_phase(h)) {
-        const double cpu_tdp = jobs[j]->host(h).tdp();
-        const double gpu_tdp = jobs[j]->host_gpu_tdp(h);
-        const double cpu_fraction = cpu_tdp / (cpu_tdp + gpu_tdp);
-        jobs[j]->set_host_cap(h, share * cpu_fraction);
-        jobs[j]->set_host_gpu_cap(h, share * (1.0 - cpu_fraction));
+      const bool gpu = jobs[j]->host_has_gpu_phase(h);
+      const LaunchCaps launch =
+          split_launch_share(share, jobs[j]->host(h).tdp(),
+                             gpu ? jobs[j]->host_gpu_tdp(h) : 0.0);
+      jobs[j]->set_host_cap(h, launch.cpu_watts);
+      if (gpu) {
+        jobs[j]->set_host_gpu_cap(h, launch.gpu_watts);
         live_[j].gpu_demand_watts[h] = jobs[j]->host_gpu_min_cap(h);
         previous_gpu_caps[j][h] = jobs[j]->host_gpu_cap(h);
-      } else {
-        jobs[j]->set_host_cap(h, share);
       }
       previous_caps[j][h] = jobs[j]->host_cap(h);
     }
@@ -381,72 +380,28 @@ CoordinationResult CoordinationLoop::run_dynamic(
       budget_telemetry->excursion_epochs.push_back(epoch_index);
     }
 
-    // RM step: re-allocate from the live telemetry. Multi-tenant mixes
-    // pass the policy output through the shared class-ordered degradation
-    // step (identity for single-class mixes and under abundance), so
-    // scarcity is absorbed by best_effort floors first.
-    const PolicyContext context = build_context(jobs);
-    const rm::PowerAllocation allocation = apply_sla_degradation(
-        context, policy->allocate(context), budget_, "coordination.degrade");
-    const bool over_budget =
-        policy->is_system_aware() &&
-        !allocation.within_budget(
-            budget_, 0.5 * static_cast<double>(allocation.host_count()));
-    if (over_budget) {
-      // A policy output the site would reject: keep every job on its
-      // last caps rather than programming an over-budget allocation —
-      // unless a revision left the last caps over budget too, in which
-      // case the emergency clamp scales the output onto the budget.
-      if (telemetry != nullptr) {
-        telemetry->budget_violation_epochs.push_back(epoch_index);
-      }
-      if (programmed > budget_ + tolerance) {
-        std::vector<sim::SlaClass> classes;
-        classes.reserve(jobs.size());
-        for (const auto* job : jobs) {
-          classes.push_back(job->sla_class());
-        }
-        manager.emergency_clamp(jobs, allocation, classes);
-        record.emergency_clamped = true;
-        if (budget_telemetry != nullptr) {
-          ++budget_telemetry->emergency_clamps;
-        }
-      }
-    } else {
-      manager.apply(jobs, allocation, policy->is_system_aware());
+    // RM step: re-allocate from the live telemetry; an over-budget
+    // output holds the caps just accounted, or is clamped when a
+    // revision left those over budget too.
+    const RmStepResult step = rm_step(*policy, build_context(jobs),
+                                      programmed, policy->is_system_aware());
+    if (step.over_budget() && telemetry != nullptr) {
+      telemetry->budget_violation_epochs.push_back(epoch_index);
     }
-    // Close the excursion (if any) at the reprogram instant and assert
-    // the loop's invariants over the freshly programmed caps.
+    if (step.outcome != RmOutcome::kHeld) {
+      manager.apply(jobs, step.caps, /*enforce_budget=*/false);
+    }
+    if (step.outcome == RmOutcome::kClamped) {
+      manager.record_emergency_clamp();
+      record.emergency_clamped = true;
+      if (budget_telemetry != nullptr) {
+        ++budget_telemetry->emergency_clamps;
+      }
+    }
+    // Close the excursion (if any) at the reprogram instant.
     manager.observe_programmed(
         rm::SystemPowerManager::total_allocated_watts(jobs), total_limits,
         0.0);
-    if (policy->is_system_aware()) {
-      double floors_watts = 0.0;
-      for (const auto* job : jobs) {
-        for (std::size_t h = 0; h < job->host_count(); ++h) {
-          floors_watts += job->host(h).min_cap();
-          if (job->host_has_gpu_phase(h)) {
-            floors_watts += job->host_gpu_min_cap(h);
-          }
-        }
-      }
-      invariants::check_caps_fit_budget(
-          rm::SystemPowerManager::total_allocated_watts(jobs),
-          std::max(budget_, floors_watts), total_limits,
-          "coordination.rm_step");
-    }
-    for (const auto* job : jobs) {
-      for (std::size_t h = 0; h < job->host_count(); ++h) {
-        invariants::check_cap_bounds(job->host_cap(h), job->host(h).min_cap(),
-                                     job->host(h).tdp(), 0.5,
-                                     "coordination.cap");
-        if (job->host_has_gpu_phase(h)) {
-          invariants::check_cap_bounds(
-              job->host_gpu_cap(h), job->host_gpu_min_cap(h),
-              job->host_gpu_tdp(h), 0.5, "coordination.gpu_cap");
-        }
-      }
-    }
 
     // A failure is reclaimed once the dead host sits at the floor: every
     // watt above the settable minimum is back in the pool. Policies park

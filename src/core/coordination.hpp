@@ -135,9 +135,9 @@ class CoordinationLoop {
   /// Each revision is adopted at the start of its `at_epoch` (stale
   /// epochs rejected); the caps programmed at the previous RM step keep
   /// running for that one epoch — the bounded excursion — and the RM
-  /// step at the epoch's end re-allocates under the revised budget,
-  /// falling back to the emergency clamp when the policy output and the
-  /// last caps both exceed it. Invariants (Σcaps ≤ budget + tolerance,
+  /// step (core::rm_step) at the epoch's end re-allocates under the
+  /// revised budget, falling back to the emergency clamp when the policy
+  /// output and the last caps both exceed it. Invariants (Σcaps ≤ budget + tolerance,
   /// cap bounds, epoch monotonicity, watt conservation on reclaim) are
   /// checked every epoch via core::invariants. `revisions` must be
   /// sorted by `at_epoch`. After the run, budget_watts() reflects the

@@ -13,18 +13,12 @@ namespace ps::core {
 /// entirely, keeping their allocations bit-identical.
 [[nodiscard]] bool has_multiple_sla_classes(const PolicyContext& context);
 
-/// The shared multi-tenant degradation step the in-memory loop, the
-/// daemon, and the facility manager all run on a policy output before
-/// programming it: re-divides the allocation by SLA class
-/// (rm::shed_allocation_by_class) so that under scarcity best_effort
-/// sheds toward its floors before standard and latency_critical is
-/// touched last, then asserts the class invariants (per-class budget
-/// conservation, no class inversion) under `where`.
-///
+/// The multi-tenant degradation step of core::rm_step: re-divides the
+/// allocation by SLA class (rm::shed_allocation_by_class) so that under
+/// scarcity best_effort sheds toward its floors before standard and
+/// latency_critical is touched last, then asserts the class invariants
+/// (per-class budget conservation, no class inversion) under `where`.
 /// Returns the allocation unchanged when the context is single-class.
-/// Because every consumer calls this one function with the same context
-/// and policy output, the daemon stays watt-for-watt equal to the
-/// in-memory loop under multi-tenant mixes too.
 [[nodiscard]] rm::PowerAllocation apply_sla_degradation(
     const PolicyContext& context, const rm::PowerAllocation& allocation,
     double budget_watts, std::string_view where);

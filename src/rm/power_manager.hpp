@@ -34,30 +34,21 @@ struct ExcursionTelemetry {
 /// programs below a settable minimum. Shapes of `allocation` and
 /// `host_floors` must match. On a multi-domain allocation the single
 /// scale spans both domains (sums include the GPU caps) and each GPU cap
-/// is floor-preserved against its own `gpu_floors` entry — a brownout
-/// squeezes CPU and GPU proportionally, never through a domain's floor.
-/// `gpu_floors` must match the shape of `job_host_gpu_caps` (empty when
-/// the allocation is CPU-only).
+/// is floor-preserved against its own `gpu_floors` entry, shaped like
+/// `job_host_gpu_caps` (empty when the allocation is CPU-only).
+///
+/// With `job_classes` (one per job) spanning several SLA classes, the
+/// reduction is taken from the lowest class first: every best_effort job
+/// is squeezed to its floors before a standard job loses a watt, and
+/// latency_critical sheds last; within one class the squeeze is the same
+/// proportional scale. Empty or uniform classes give exactly (bit for
+/// bit) the classless clamp.
 [[nodiscard]] PowerAllocation clamp_allocation_to_budget(
     const PowerAllocation& allocation,
     const std::vector<std::vector<double>>& host_floors,
     double budget_watts,
-    const std::vector<std::vector<double>>& gpu_floors = {});
-
-/// Priority-ordered variant: the reduction onto `budget_watts` is taken
-/// from the lowest SLA class first — every best_effort job is squeezed
-/// to its floors before a standard job loses a watt, and
-/// latency_critical sheds last. Within one class the squeeze is the same
-/// proportional floor-preserving scale as the classless clamp. With
-/// `job_classes` empty or uniform this is exactly the classless clamp
-/// (bit-identical), so single-tenant callers can pass through freely.
-/// `job_classes`, when non-empty, must have one entry per job.
-[[nodiscard]] PowerAllocation clamp_allocation_to_budget(
-    const PowerAllocation& allocation,
-    const std::vector<std::vector<double>>& host_floors,
-    double budget_watts,
-    const std::vector<std::vector<double>>& gpu_floors,
-    std::span<const sim::SlaClass> job_classes);
+    const std::vector<std::vector<double>>& gpu_floors = {},
+    std::span<const sim::SlaClass> job_classes = {});
 
 /// The resource manager's power-enforcement arm: owns the system-wide
 /// power budget and programs per-host RAPL caps from a policy's
@@ -89,16 +80,9 @@ class SystemPowerManager {
              const PowerAllocation& allocation,
              bool enforce_budget = true) const;
 
-  /// Emergency-clamp path for a revision the current caps no longer fit:
-  /// scales `allocation` onto the current budget (floors = each host's
-  /// settable minimum) and programs the result. Returns the clamped
-  /// allocation actually applied. With a non-empty `job_classes` (one
-  /// per job) the squeeze is priority-ordered: best_effort sheds to its
-  /// floors before standard, latency_critical last.
-  PowerAllocation emergency_clamp(
-      std::span<sim::JobSimulation* const> jobs,
-      const PowerAllocation& allocation,
-      std::span<const sim::SlaClass> job_classes = {}) const;
+  /// Counts one emergency clamp ("rm.emergency_clamps"): an RM step
+  /// that programmed its output scaled onto the budget.
+  void record_emergency_clamp() const;
 
   /// Accounts `elapsed_seconds` of running with `programmed_watts`
   /// total caps against the current budget, opening/extending an

@@ -13,18 +13,26 @@ namespace {
 /// option. from_chars takes no leading whitespace or '+', and a '-' only
 /// for signed and floating types, so a negative count never wraps.
 template <typename T>
-T parse_whole(std::string_view name, const std::string& text,
+T parse_whole(std::string_view name, std::string_view text,
               const char* kind) {
   T value{};
   const char* const end = text.data() + text.size();
   const auto [stop, error] = std::from_chars(text.data(), end, value);
   if (error != std::errc() || stop != end) {
     throw InvalidArgument("option '" + std::string(name) + "' is not " +
-                          kind + ": '" + text + "'");
+                          kind + ": '" + std::string(text) + "'");
   }
   return value;
 }
 }  // namespace
+
+std::size_t parse_count(std::string_view name, std::string_view text) {
+  return parse_whole<std::size_t>(name, text, "a count");
+}
+
+double parse_number(std::string_view name, std::string_view text) {
+  return parse_whole<double>(name, text, "a number");
+}
 
 ArgParser& ArgParser::add_flag(std::string name, std::string help) {
   PS_REQUIRE(starts_with(name, "--"), "option names start with --");
@@ -90,11 +98,11 @@ const std::string& ArgParser::option(std::string_view name) const {
 }
 
 double ArgParser::option_double(std::string_view name) const {
-  return parse_whole<double>(name, option(name), "a number");
+  return parse_number(name, option(name));
 }
 
 std::size_t ArgParser::option_size(std::string_view name) const {
-  return parse_whole<std::size_t>(name, option(name), "a count");
+  return parse_count(name, option(name));
 }
 
 std::string ArgParser::help() const {

@@ -52,6 +52,8 @@
 #include "runtime/controller.hpp"
 #include "runtime/platform_io.hpp"
 #include "sim/facility_trace.hpp"
+#include "util/args.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -115,6 +117,10 @@ struct Args {
   std::string chrome_path;
 };
 
+/// Parses the subcommand's flags. Numbers follow util::parse_count /
+/// parse_number (the whole string must parse; a count takes no sign); an
+/// unknown flag, a missing value or a malformed number throws
+/// InvalidArgument, which main() reports on one line with exit status 2.
 Args parse_args(int argc, char** argv) {
   Args args;
   if (argc >= 2) {
@@ -122,67 +128,83 @@ Args parse_args(int argc, char** argv) {
   }
   for (int i = 2; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (arg == "--workload" && i + 1 < argc) {
-      args.workload = argv[++i];
-    } else if (arg == "--mix" && i + 1 < argc) {
-      args.mix = argv[++i];
-    } else if (arg == "--policy" && i + 1 < argc) {
-      args.policy = argv[++i];
-    } else if (arg == "--agent" && i + 1 < argc) {
-      args.agent = argv[++i];
-    } else if (arg == "--nodes" && i + 1 < argc) {
-      args.nodes = std::strtoul(argv[++i], nullptr, 10);
-    } else if (arg == "--hours" && i + 1 < argc) {
-      args.hours = std::strtod(argv[++i], nullptr);
+    const auto value = [&]() -> std::string_view {
+      if (i + 1 >= argc) {
+        throw InvalidArgument("option '" + std::string(arg) +
+                              "' needs a value");
+      }
+      return argv[++i];
+    };
+    const auto count = [&] { return util::parse_count(arg, value()); };
+    const auto number = [&] { return util::parse_number(arg, value()); };
+    if (arg == "--workload") {
+      args.workload = value();
+    } else if (arg == "--mix") {
+      args.mix = value();
+    } else if (arg == "--policy") {
+      args.policy = value();
+    } else if (arg == "--agent") {
+      args.agent = value();
+    } else if (arg == "--nodes") {
+      args.nodes = count();
+    } else if (arg == "--hours") {
+      args.hours = number();
     } else if (arg == "--backfill") {
       args.backfill = true;
     } else if (arg == "--quick") {
       args.quick = true;
-    } else if (arg == "--socket" && i + 1 < argc) {
-      args.socket_path = argv[++i];
-    } else if (arg == "--tcp" && i + 1 < argc) {
-      args.tcp_port = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (arg == "--budget" && i + 1 < argc) {
-      args.budget_watts = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--min-jobs" && i + 1 < argc) {
-      args.min_jobs = std::strtoul(argv[++i], nullptr, 10);
-    } else if (arg == "--iterations" && i + 1 < argc) {
-      args.iterations = std::strtoul(argv[++i], nullptr, 10);
-    } else if (arg == "--duration" && i + 1 < argc) {
-      args.duration_seconds = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--snapshot" && i + 1 < argc) {
-      args.snapshot_path = argv[++i];
-    } else if (arg == "--job" && i + 1 < argc) {
-      args.job_name = argv[++i];
-    } else if (arg == "--budget-share" && i + 1 < argc) {
-      args.budget_share = std::strtod(argv[++i], nullptr);
+    } else if (arg == "--socket") {
+      args.socket_path = value();
+    } else if (arg == "--tcp") {
+      const std::size_t port = count();
+      if (port > 65535) {
+        throw InvalidArgument("option '--tcp' is not a port: '" +
+                              std::to_string(port) + "'");
+      }
+      args.tcp_port = static_cast<int>(port);
+    } else if (arg == "--budget") {
+      args.budget_watts = number();
+    } else if (arg == "--min-jobs") {
+      args.min_jobs = count();
+    } else if (arg == "--iterations") {
+      args.iterations = count();
+    } else if (arg == "--duration") {
+      args.duration_seconds = number();
+    } else if (arg == "--snapshot") {
+      args.snapshot_path = value();
+    } else if (arg == "--job") {
+      args.job_name = value();
+    } else if (arg == "--budget-share") {
+      args.budget_share = number();
     } else if (arg == "--brownout") {
       args.brownout = true;
-    } else if (arg == "--ha-socket" && i + 1 < argc) {
-      args.ha_socket = argv[++i];
-    } else if (arg == "--standby-of" && i + 1 < argc) {
-      args.standby_of = argv[++i];
-    } else if (arg == "--lease" && i + 1 < argc) {
-      args.lease_ms = std::strtoul(argv[++i], nullptr, 10);
-    } else if (arg == "--endpoints" && i + 1 < argc) {
-      args.endpoints = argv[++i];
-    } else if (arg == "--trace" && i + 1 < argc) {
-      args.trace_path = argv[++i];
+    } else if (arg == "--ha-socket") {
+      args.ha_socket = value();
+    } else if (arg == "--standby-of") {
+      args.standby_of = value();
+    } else if (arg == "--lease") {
+      args.lease_ms = count();
+    } else if (arg == "--endpoints") {
+      args.endpoints = value();
+    } else if (arg == "--trace") {
+      args.trace_path = value();
     } else if (arg == "--metrics") {
       args.metrics = true;
     } else if (arg == "--root") {
       args.root = true;
-    } else if (arg == "--parent" && i + 1 < argc) {
-      args.parent = argv[++i];
-    } else if (arg == "--rack" && i + 1 < argc) {
-      args.rack = argv[++i];
-    } else if (arg == "--backend" && i + 1 < argc) {
-      args.backend = argv[++i];
+    } else if (arg == "--parent") {
+      args.parent = value();
+    } else if (arg == "--rack") {
+      args.rack = value();
+    } else if (arg == "--backend") {
+      args.backend = value();
     } else if (arg == "--replay") {
       args.replay = true;
-    } else if (arg == "--chrome" && i + 1 < argc) {
-      args.chrome_path = argv[++i];
-    } else if (!arg.starts_with("--") && args.trace_file.empty()) {
+    } else if (arg == "--chrome") {
+      args.chrome_path = value();
+    } else if (arg.starts_with("--")) {
+      throw InvalidArgument("unknown option '" + std::string(arg) + "'");
+    } else if (args.trace_file.empty()) {
       args.trace_file = arg;  // positional: the trace command's FILE
     }
   }
@@ -839,7 +861,13 @@ int cmd_validate(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parse_args(argc, argv);
+  Args args;
+  try {
+    args = parse_args(argc, argv);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "powerstack: %s\n", error.what());
+    return 2;
+  }
   try {
     if (args.command == "signals") {
       return cmd_signals();
