@@ -64,6 +64,10 @@ std::size_t PowerAllocation::host_count() const {
   return count;
 }
 
+double PowerAllocation::budget_tolerance_watts() const {
+  return 0.5 * static_cast<double>(host_count());
+}
+
 bool PowerAllocation::within_budget(double budget_watts,
                                     double tolerance_watts) const {
   return total_watts() <= budget_watts + tolerance_watts;

@@ -26,6 +26,9 @@ struct PowerAllocation {
   /// Number of capped domain entries (GPU-domain entries count too: the
   /// budget tolerance scales with the number of quantized limits).
   [[nodiscard]] std::size_t host_count() const;
+  /// The RAPL quantization slack of a budget comparison, the one
+  /// tolerance of the RM step: 0.5 W per limit (host_count()).
+  [[nodiscard]] double budget_tolerance_watts() const;
 
   /// True if total allocated power is within `budget_watts` plus a small
   /// tolerance for RAPL quantization.
