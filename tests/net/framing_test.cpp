@@ -167,7 +167,7 @@ TEST(FramingTest, GarbageAfterValidFrameIsDetected) {
   decoder.feed(std::string_view("\x00\x00\x00\x04"
                                 "\x12\x34\x56\x78"
                                 "oops",
-                                16));
+                                12));
   EXPECT_THROW(static_cast<void>(decoder.next()), ps::Error);
 }
 
