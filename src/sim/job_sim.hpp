@@ -131,25 +131,15 @@ class JobSimulation {
   [[nodiscard]] double host_slowdown(std::size_t index) const;
 
   /// Runs one bulk-synchronous iteration, accruing telemetry and RAPL
-  /// energy on every host.
+  /// energy on every host (and GPU energy on every device).
   ///
-  /// CPU-only jobs take a structure-of-arrays pass: one memoized solve
-  /// lookup per host refreshes per-host columns (seconds, power, GFLOP,
-  /// frequency), then busy-time jitter, the critical-path reduction, and
-  /// the energy/poll accounting each sweep the columns in host order.
-  /// Jobs with a GPU phase (and callers that opt out via
-  /// set_scalar_iteration) run the original per-host scalar loop. Both
-  /// paths are bit-identical by construction and regression-tested.
+  /// One structure-of-arrays pass: a memoized solve lookup per host
+  /// refreshes per-host columns (seconds, power, GFLOP, frequency), then
+  /// busy-time jitter, the GPU lane (device kernels, the CPU's poll while
+  /// it waits on the offload, busy = max(CPU, GPU)), the critical-path
+  /// reduction, and the barrier-poll / device-idle accounting each sweep
+  /// the columns in host order. Jobs without a GPU phase skip the lane.
   IterationResult run_iteration();
-
-  /// Forces the scalar (pre-SoA) iteration path. Purely a debugging and
-  /// equivalence-testing knob — results do not change.
-  void set_scalar_iteration(bool scalar) noexcept {
-    scalar_iteration_ = scalar;
-  }
-  [[nodiscard]] bool scalar_iteration() const noexcept {
-    return scalar_iteration_;
-  }
 
   [[nodiscard]] const JobTotals& totals() const noexcept { return totals_; }
   void reset_totals() noexcept { totals_ = {}; }
@@ -162,11 +152,6 @@ class JobSimulation {
   void set_sla_class(SlaClass sla_class) noexcept { sla_class_ = sla_class; }
 
  private:
-  /// The original per-host loop (also handles GPU phases).
-  IterationResult run_iteration_scalar();
-  /// The structure-of-arrays pass over the soa_* columns (CPU-only).
-  IterationResult run_iteration_soa();
-
   std::string name_;
   std::vector<hw::NodeModel*> hosts_;
   kernel::WorkloadConfig config_;
@@ -176,7 +161,6 @@ class JobSimulation {
   JobTotals totals_;
   std::vector<bool> failed_;
   std::vector<double> slowdown_;
-  bool scalar_iteration_ = false;
   SlaClass sla_class_ = SlaClass::kStandard;
 
   /// Structure-of-arrays columns, one entry per host, refreshed every
@@ -186,7 +170,8 @@ class JobSimulation {
   std::vector<double> soa_power_;
   std::vector<double> soa_gflop_;
   std::vector<double> soa_frequency_;
-  std::vector<double> soa_busy_;
+  std::vector<double> soa_busy_;    ///< max(CPU, GPU) busy time.
+  std::vector<double> soa_energy_;  ///< Busy-phase energy, GPU included.
 };
 
 }  // namespace ps::sim

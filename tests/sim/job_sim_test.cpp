@@ -165,90 +165,6 @@ TEST(JobSimTest, GflopCountsOnlyUsefulWork) {
               result.hosts[0].gflop * 0.01);
 }
 
-
-/// Bit-identical equality between two iteration results — the SoA pass
-/// must reproduce the scalar loop exactly, so EXPECT_EQ on doubles is
-/// deliberate.
-void expect_same_iteration(const IterationResult& a,
-                           const IterationResult& b) {
-  EXPECT_EQ(a.iteration_seconds, b.iteration_seconds);
-  EXPECT_EQ(a.total_energy_joules, b.total_energy_joules);
-  EXPECT_EQ(a.total_gflop, b.total_gflop);
-  EXPECT_EQ(a.average_node_power_watts, b.average_node_power_watts);
-  EXPECT_EQ(a.critical_host_index, b.critical_host_index);
-  ASSERT_EQ(a.hosts.size(), b.hosts.size());
-  for (std::size_t i = 0; i < a.hosts.size(); ++i) {
-    EXPECT_EQ(a.hosts[i].node, b.hosts[i].node);
-    EXPECT_EQ(a.hosts[i].waiting_host, b.hosts[i].waiting_host);
-    EXPECT_EQ(a.hosts[i].busy_seconds, b.hosts[i].busy_seconds);
-    EXPECT_EQ(a.hosts[i].poll_seconds, b.hosts[i].poll_seconds);
-    EXPECT_EQ(a.hosts[i].energy_joules, b.hosts[i].energy_joules);
-    EXPECT_EQ(a.hosts[i].gflop, b.hosts[i].gflop);
-    EXPECT_EQ(a.hosts[i].frequency_ghz, b.hosts[i].frequency_ghz);
-    EXPECT_EQ(a.hosts[i].average_power_watts,
-              b.hosts[i].average_power_watts);
-  }
-}
-
-TEST(JobSimSoaTest, SoaAndScalarPathsAreBitIdentical) {
-  // Two identical worlds, one forced onto the scalar path, driven
-  // through cap changes, noise, a straggler, and a failed host.
-  Cluster soa_cluster(8);
-  Cluster scalar_cluster(8);
-  kernel::WorkloadConfig config = imbalanced_config();
-  config.gigabytes_per_iteration = 1.5;
-  const NoiseParams noise{0.01};
-  JobSimulation soa("j", hosts_of(soa_cluster, 8), config, noise,
-                    util::Rng(7));
-  JobSimulation scalar("j", hosts_of(scalar_cluster, 8), config, noise,
-                       util::Rng(7));
-  scalar.set_scalar_iteration(true);
-  EXPECT_FALSE(soa.scalar_iteration());
-  EXPECT_TRUE(scalar.scalar_iteration());
-
-  const auto step_both = [&] {
-    expect_same_iteration(soa.run_iteration(), scalar.run_iteration());
-  };
-  for (int i = 0; i < 4; ++i) {
-    step_both();
-  }
-  for (std::size_t h = 0; h < 8; ++h) {
-    soa.set_host_cap(h, 150.0 + 5.0 * static_cast<double>(h));
-    scalar.set_host_cap(h, 150.0 + 5.0 * static_cast<double>(h));
-  }
-  step_both();
-  soa.set_host_slowdown(2, 1.5);
-  scalar.set_host_slowdown(2, 1.5);
-  step_both();
-  soa.set_host_failed(5, true);
-  scalar.set_host_failed(5, true);
-  for (int i = 0; i < 4; ++i) {
-    step_both();
-  }
-  EXPECT_EQ(soa.totals().elapsed_seconds, scalar.totals().elapsed_seconds);
-  EXPECT_EQ(soa.totals().energy_joules, scalar.totals().energy_joules);
-  EXPECT_EQ(soa.totals().gflop, scalar.totals().gflop);
-}
-
-TEST(JobSimSoaTest, SoaMatchesScalarWithSolveCacheDisabled) {
-  // Three-way agreement: SoA + memoized solves == scalar + cold solves.
-  Cluster fast_cluster(6);
-  Cluster slow_cluster(6);
-  kernel::WorkloadConfig config = imbalanced_config();
-  const NoiseParams noise{0.004};
-  JobSimulation fast("j", hosts_of(fast_cluster, 6), config, noise,
-                     util::Rng(11));
-  JobSimulation slow("j", hosts_of(slow_cluster, 6), config, noise,
-                     util::Rng(11));
-  slow.set_scalar_iteration(true);
-  for (std::size_t h = 0; h < 6; ++h) {
-    slow_cluster.node(h).set_solve_cache_enabled(false);
-  }
-  for (int i = 0; i < 6; ++i) {
-    expect_same_iteration(fast.run_iteration(), slow.run_iteration());
-  }
-}
-
 TEST(JobSimTest, InvalidConstructionRejected) {
   Cluster cluster(2);
   EXPECT_THROW(
