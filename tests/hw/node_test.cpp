@@ -175,23 +175,37 @@ void expect_same_phase(const PhaseResult& a, const PhaseResult& b) {
   EXPECT_EQ(a.mem_utilization, b.mem_utilization);
 }
 
+/// A fresh node at `cap`: its first compute and poll solves always run
+/// the fixed-point solver, so it is the cold reference for the memo.
+NodeModel cold_node(double cap) {
+  NodeModel node = make_node();
+  node.set_power_cap(cap);
+  return node;
+}
+
 TEST(NodeSolveCacheTest, CachedAndUncachedRunsAreBitIdentical) {
-  // Twin nodes, one with the solve memo disabled: any divergence means
-  // the cache served a stale or differently-rounded solution.
+  // A memoized node against a cold solve per step: any divergence means
+  // the cache served a stale or differently-rounded solution. The cold
+  // phases are accrued onto a twin so the energy counters compare too.
   NodeModel cached = make_node();
-  NodeModel uncached = make_node();
-  uncached.set_solve_cache_enabled(false);
+  NodeModel twin = make_node();
   const double caps[] = {240.0, 190.0, 190.0, 150.0, 240.0, 190.0};
   for (const double cap : caps) {
     cached.set_power_cap(cap);
-    uncached.set_power_cap(cap);
+    twin.set_power_cap(cap);
     for (int repeat = 0; repeat < 3; ++repeat) {
+      NodeModel cold = cold_node(cap);
+      const PhaseResult compute =
+          cold.run_compute(1.0, 8.0, VectorWidth::kYmm256);
       expect_same_phase(cached.run_compute(1.0, 8.0, VectorWidth::kYmm256),
-                        uncached.run_compute(1.0, 8.0, VectorWidth::kYmm256));
-      expect_same_phase(cached.run_poll(0.25), uncached.run_poll(0.25));
+                        compute);
+      twin.accrue_phase(compute);
+      const PhaseResult poll = cold.run_poll(0.25);
+      expect_same_phase(cached.run_poll(0.25), poll);
+      twin.accrue_phase(poll);
     }
   }
-  EXPECT_EQ(cached.read_energy_joules(), uncached.read_energy_joules());
+  EXPECT_EQ(cached.read_energy_joules(), twin.read_energy_joules());
 }
 
 TEST(NodeSolveCacheTest, CacheMissesOnPhaseShapeChange) {
@@ -250,17 +264,17 @@ TEST(NodeSolveCacheTest, RunComputeEqualsSolutionPlusAccrue) {
 
 TEST(NodeSolveCacheTest, PollMemoScalesEnergyPerCall) {
   NodeModel cached = make_node();
-  NodeModel uncached = make_node();
-  uncached.set_solve_cache_enabled(false);
+  NodeModel twin = make_node();
   cached.set_power_cap(170.0);
-  uncached.set_power_cap(170.0);
+  twin.set_power_cap(170.0);
   for (const double seconds : {0.5, 0.125, 0.0, 2.0}) {
     const PhaseResult a = cached.run_poll(seconds);
-    const PhaseResult b = uncached.run_poll(seconds);
+    const PhaseResult b = cold_node(170.0).run_poll(seconds);
     expect_same_phase(a, b);
     EXPECT_EQ(a.energy_joules, a.power_watts * seconds);
+    twin.accrue_phase(b);
   }
-  EXPECT_EQ(cached.read_energy_joules(), uncached.read_energy_joules());
+  EXPECT_EQ(cached.read_energy_joules(), twin.read_energy_joules());
 }
 
 TEST(NodeTest, FixedPointSolutionIsSelfConsistent) {
