@@ -121,14 +121,24 @@ void BM_BalancePowerSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_BalancePowerSearch)->Arg(10)->Arg(100);
 
+// Args: hosts, GPU devices per host. With devices the job offloads a GPU
+// phase, so the iteration also runs the GPU lane.
 void BM_SimulatorIteration(benchmark::State& state) {
   sim::Cluster cluster(static_cast<std::size_t>(state.range(0)));
   kernel::WorkloadConfig config;
   config.intensity = 8.0;
   config.waiting_fraction = 0.25;
   config.imbalance = 2.0;
+  const auto devices = static_cast<std::size_t>(state.range(1));
+  if (devices > 0) {
+    config.gpu_gigabytes_per_iteration = 60.0;
+    config.gpu_intensity = 40.0;
+  }
   std::vector<hw::NodeModel*> hosts;
   for (std::size_t i = 0; i < cluster.size(); ++i) {
+    for (std::size_t g = 0; g < devices; ++g) {
+      cluster.node(i).attach_gpu();
+    }
     hosts.push_back(&cluster.node(i));
   }
   sim::JobSimulation job("bench", hosts, config);
@@ -137,7 +147,10 @@ void BM_SimulatorIteration(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_SimulatorIteration)->Arg(100)->Arg(900);
+BENCHMARK(BM_SimulatorIteration)
+    ->Args({100, 0})
+    ->Args({100, 1})
+    ->Args({900, 0});
 
 // Per-layer numbers for the hw substrate under the simulator: the RAPL
 // energy counter every phase accrues into, the node cap write every
