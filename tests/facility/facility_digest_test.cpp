@@ -8,6 +8,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <ostream>
 #include <vector>
 
 #include "core/invariants.hpp"
@@ -47,6 +48,11 @@ struct DigestCase {
   std::uint64_t power_digest;
   double shed_watts;
 };
+
+/// gtest prints a parameter into the ctest name; without this it would
+/// dump the struct's raw bytes, which start with the address of `name`
+/// and so change with the build type.
+void PrintTo(const DigestCase& c, std::ostream* out) { *out << c.name; }
 
 FacilityResult run_case(const DigestCase& c) {
   JobTraceOptions traffic;
