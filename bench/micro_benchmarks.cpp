@@ -259,6 +259,84 @@ void BM_MessageParse(benchmark::State& state) {
 }
 BENCHMARK(BM_MessageParse)->Arg(100)->Arg(1000);
 
+/// One rack's frames in the 10k-job tree round: `jobs` one-host jobs in
+/// name order, seeded watts, exact fidelity on the wire.
+core::RackSampleMessage rack_bench_samples(std::size_t jobs) {
+  util::Rng rng(5);
+  core::RackSampleMessage rack;
+  rack.rack = "rack0";
+  rack.round = 7;
+  for (std::size_t j = 0; j < jobs; ++j) {
+    char name[24];
+    std::snprintf(name, sizeof(name), "job-%06zu", j);
+    core::SampleMessage sample;
+    sample.sequence = 7;
+    sample.job_name = name;
+    sample.min_settable_cap_watts = 80.0;
+    sample.host_needed_watts = {rng.uniform(120.0, 250.0)};
+    sample.host_observed_watts = {rng.uniform(110.0, 256.0)};
+    rack.samples.push_back(std::move(sample));
+  }
+  return rack;
+}
+
+core::RackPolicyMessage rack_bench_policies(std::size_t jobs) {
+  util::Rng rng(6);
+  core::RackPolicyMessage rack;
+  rack.rack = "rack0";
+  rack.round = 7;
+  for (std::size_t j = 0; j < jobs; ++j) {
+    char name[24];
+    std::snprintf(name, sizeof(name), "job-%06zu", j);
+    core::PolicyMessage policy;
+    policy.sequence = 7;
+    policy.job_name = name;
+    policy.host_caps_watts = {rng.uniform(80.0, 256.0)};
+    rack.rack_budget_watts += policy.host_caps_watts[0];
+    rack.policies.push_back(std::move(policy));
+  }
+  return rack;
+}
+
+/// The rack codec on one frame of the tree round: serialize or parse a
+/// rack-sample or rack-policy frame of range(0) jobs.
+void BM_RackCodec(benchmark::State& state, bool policy, bool parse) {
+  const std::size_t jobs = static_cast<std::size_t>(state.range(0));
+  const core::RackSampleMessage samples = rack_bench_samples(jobs);
+  const core::RackPolicyMessage policies = rack_bench_policies(jobs);
+  const std::string wire =
+      policy ? core::serialize(policies, core::WireFidelity::kExact)
+             : core::serialize(samples, core::WireFidelity::kExact);
+  for (auto _ : state) {
+    if (parse && policy) {
+      benchmark::DoNotOptimize(core::parse_rack_policy_message(wire));
+    } else if (parse) {
+      benchmark::DoNotOptimize(core::parse_rack_sample_message(wire));
+    } else if (policy) {
+      benchmark::DoNotOptimize(
+          core::serialize(policies, core::WireFidelity::kExact));
+    } else {
+      benchmark::DoNotOptimize(
+          core::serialize(samples, core::WireFidelity::kExact));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(wire.size()));
+}
+BENCHMARK_CAPTURE(BM_RackCodec, SampleSerialize, false, false)
+    ->Arg(2500)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_RackCodec, SampleParse, false, true)
+    ->Arg(2500)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_RackCodec, PolicySerialize, true, false)
+    ->Arg(2500)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_RackCodec, PolicyParse, true, true)
+    ->Arg(2500)
+    ->Unit(benchmark::kMicrosecond);
+
 /// Full daemon round-trip latency over the in-process loopback transport:
 /// framed sample up, policy allocation, framed caps back.
 void BM_DaemonRoundTrip(benchmark::State& state) {
