@@ -267,7 +267,7 @@ core::RackSampleMessage rack_bench_samples(std::size_t jobs) {
   rack.rack = "rack0";
   rack.round = 7;
   for (std::size_t j = 0; j < jobs; ++j) {
-    char name[24];
+    char name[32];
     std::snprintf(name, sizeof(name), "job-%06zu", j);
     core::SampleMessage sample;
     sample.sequence = 7;
@@ -286,7 +286,7 @@ core::RackPolicyMessage rack_bench_policies(std::size_t jobs) {
   rack.rack = "rack0";
   rack.round = 7;
   for (std::size_t j = 0; j < jobs; ++j) {
-    char name[24];
+    char name[32];
     std::snprintf(name, sizeof(name), "job-%06zu", j);
     core::PolicyMessage policy;
     policy.sequence = 7;

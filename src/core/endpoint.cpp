@@ -1,37 +1,130 @@
 #include "core/endpoint.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <sstream>
+#include <span>
 
 #include "runtime/power_balancer_agent.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
-#include "util/table.hpp"
 
 namespace ps::core {
 
 namespace {
 
-std::string format_value(double value, WireFidelity fidelity) {
-  if (fidelity == WireFidelity::kDisplay) {
-    return util::format_fixed(value, 3);
+/// A message's non-empty lines, as views into the received text. An
+/// embedded rack block is a sub-span of its frame's lines.
+using Lines = std::span<const std::string_view>;
+
+/// Appends `key` and one watt value per element: milliwatt fixed point
+/// for kDisplay, the shortest round-tripping decimal for kExact. 320
+/// chars hold the fixed rendering of the largest double.
+void append_watts(std::string& out, std::string_view key,
+                  std::span<const double> values, WireFidelity fidelity) {
+  out += key;
+  for (const double value : values) {
+    char buffer[320];
+    const auto [ptr, ec] =
+        fidelity == WireFidelity::kDisplay
+            ? std::to_chars(buffer, buffer + sizeof(buffer), value,
+                            std::chars_format::fixed, 3)
+            : std::to_chars(buffer, buffer + sizeof(buffer), value);
+    PS_REQUIRE(ec == std::errc{}, "unencodable watt value");
+    out += ' ';
+    out.append(buffer, ptr);
   }
-  char buffer[32];
-  const auto [ptr, ec] =
-      std::to_chars(buffer, buffer + sizeof(buffer), value);
-  PS_REQUIRE(ec == std::errc{}, "unencodable watt value");
-  return std::string(buffer, ptr);
+  out += '\n';
 }
 
-void serialize_vector(std::ostringstream& out, std::string_view key,
-                      const std::vector<double>& values,
-                      WireFidelity fidelity) {
-  out << key;
-  for (double value : values) {
-    out << ' ' << format_value(value, fidelity);
+void append_uint(std::string& out, std::string_view key,
+                 std::uint64_t value) {
+  char buffer[24];
+  char* end = std::to_chars(buffer, buffer + sizeof(buffer), value).ptr;
+  out.append(key).append(" ").append(buffer, end) += '\n';
+}
+
+/// Calls `visit` on every line of `text` that holds more than whitespace.
+template <typename Visit>
+void for_each_non_empty_line(std::string_view text, Visit visit) {
+  std::size_t start = 0;
+  while (start <= text.size()) {
+    const std::size_t end = std::min(text.find('\n', start), text.size());
+    const std::string_view line = text.substr(start, end - start);
+    if (!util::trim(line).empty()) {
+      visit(line);
+    }
+    start = end + 1;
   }
-  out << '\n';
+}
+
+std::vector<std::string_view> non_empty_lines(std::string_view text) {
+  std::vector<std::string_view> lines;
+  for_each_non_empty_line(
+      text, [&lines](std::string_view line) { lines.push_back(line); });
+  return lines;
+}
+
+void append_message(std::string& out, const SampleMessage& message,
+                    WireFidelity fidelity) {
+  out += message.has_gpu_domain() ? "powerstack-sample v3\n"
+                                  : "powerstack-sample v1\n";
+  append_uint(out, "sequence", message.sequence);
+  out.append("job ").append(message.job_name) += '\n';
+  append_watts(out, "min_cap", {&message.min_settable_cap_watts, 1},
+               fidelity);
+  append_watts(out, "observed", message.host_observed_watts, fidelity);
+  append_watts(out, "needed", message.host_needed_watts, fidelity);
+  if (message.has_gpu_domain()) {
+    append_watts(out, "gpu_min_cap", {&message.gpu_min_cap_watts, 1},
+                 fidelity);
+    append_watts(out, "gpu_tdp", {&message.gpu_tdp_watts, 1}, fidelity);
+    append_watts(out, "gpu_observed", message.host_gpu_observed_watts,
+                 fidelity);
+    append_watts(out, "gpu_needed", message.host_gpu_needed_watts,
+                 fidelity);
+  }
+  if (message.sla_class != sim::SlaClass::kStandard) {
+    out.append("sla_class ").append(sim::to_string(message.sla_class)) +=
+        '\n';
+  }
+}
+
+void append_message(std::string& out, const PolicyMessage& message,
+                    WireFidelity fidelity) {
+  out += message.has_gpu_domain() ? "powerstack-policy v3\n"
+                                  : "powerstack-policy v1\n";
+  append_uint(out, "sequence", message.sequence);
+  out.append("job ").append(message.job_name) += '\n';
+  append_watts(out, "caps", message.host_caps_watts, fidelity);
+  if (message.has_gpu_domain()) {
+    append_watts(out, "gpu_caps", message.host_gpu_caps_watts, fidelity);
+  }
+  if (message.budget_epoch != 0) {
+    append_uint(out, "budget_epoch", message.budget_epoch);
+  }
+  if (message.fence_epoch != 0) {
+    append_uint(out, "fence", message.fence_epoch);
+  }
+}
+
+/// Appends the `jobs N` line and one block per embedded message: a
+/// `key N` prefix stating how many non-empty lines the message occupies,
+/// then the message.
+template <typename Message>
+void append_blocks(std::string& out, std::string_view key,
+                   const std::vector<Message>& messages,
+                   WireFidelity fidelity) {
+  append_uint(out, "jobs", messages.size());
+  std::string body;
+  for (const Message& message : messages) {
+    body.clear();
+    append_message(body, message, fidelity);
+    std::uint64_t count = 0;
+    for_each_non_empty_line(body, [&count](std::string_view) { ++count; });
+    append_uint(out, key, count);
+    out += body;
+  }
 }
 
 /// Strict full-token watt parse: rejects trailing garbage, non-finite
@@ -61,156 +154,47 @@ std::uint64_t parse_keyed_uint(std::string_view line, std::string_view key) {
   return value;
 }
 
-std::uint64_t parse_sequence(std::string_view line) {
-  return parse_keyed_uint(line, "sequence");
+/// The trimmed text after `key` on a line that must start with `key `.
+std::string_view keyed_value(std::string_view line, std::string_view key) {
+  PS_REQUIRE(util::starts_with(line, key) && line.size() > key.size() &&
+                 line[key.size()] == ' ',
+             "expected '" + std::string(key) + "' line");
+  return util::trim(line.substr(key.size() + 1));
 }
 
 std::string parse_job_name(std::string_view line) {
-  PS_REQUIRE(util::starts_with(line, "job "), "expected 'job' line");
-  const std::string_view name = util::trim(line.substr(4));
+  const std::string_view name = keyed_value(line, "job");
   PS_REQUIRE(!name.empty(), "empty job name");
   return std::string(name);
 }
 
+/// The watts after `key`, tokenised in place on single spaces (runs of
+/// spaces leave empty tokens, which are skipped).
 std::vector<double> parse_vector(std::string_view line,
                                  std::string_view key) {
   PS_REQUIRE(util::starts_with(line, key),
              "expected '" + std::string(key) + "' line");
   std::vector<double> values;
-  for (const std::string& token :
-       util::split(line.substr(key.size()), ' ')) {
-    if (token.empty()) {
-      continue;
+  std::string_view rest = line.substr(key.size());
+  while (!rest.empty()) {
+    const std::size_t space = std::min(rest.find(' '), rest.size());
+    if (space > 0) {
+      values.push_back(parse_watts(rest.substr(0, space), key));
     }
-    values.push_back(parse_watts(token, key));
+    rest.remove_prefix(std::min(space + 1, rest.size()));
   }
   return values;
 }
 
-std::vector<std::string> non_empty_lines(std::string_view text) {
-  std::vector<std::string> lines;
-  for (const std::string& line : util::split(text, '\n')) {
-    if (!util::trim(line).empty()) {
-      lines.push_back(line);
-    }
-  }
-  return lines;
-}
-
 std::string parse_rack_name(std::string_view line) {
-  PS_REQUIRE(util::starts_with(line, "rack "), "expected 'rack' line");
-  const std::string_view name = util::trim(line.substr(5));
+  const std::string_view name = keyed_value(line, "rack");
   PS_REQUIRE(!name.empty(), "empty rack name");
   PS_REQUIRE(name.find(' ') == std::string_view::npos,
              "rack name must be a single token");
   return std::string(name);
 }
 
-/// Re-joins `count` lines starting at `next` into one embedded message
-/// body, guarding against blocks that claim more lines than the frame
-/// holds (the torn-frame case).
-std::string take_block(const std::vector<std::string>& lines,
-                       std::size_t next, std::uint64_t count,
-                       std::string_view what) {
-  PS_REQUIRE(count > 0, std::string(what) + " block must not be empty");
-  PS_REQUIRE(count <= lines.size() - next,
-             std::string(what) + " block overruns the frame");
-  std::string block;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    block += lines[next + i];
-    block += '\n';
-  }
-  return block;
-}
-
-}  // namespace
-
-std::string serialize(const SampleMessage& message, WireFidelity fidelity) {
-  std::ostringstream out;
-  out << (message.has_gpu_domain() ? "powerstack-sample v3\n"
-                                   : "powerstack-sample v1\n");
-  out << "sequence " << message.sequence << '\n';
-  out << "job " << message.job_name << '\n';
-  out << "min_cap "
-      << format_value(message.min_settable_cap_watts, fidelity) << '\n';
-  serialize_vector(out, "observed", message.host_observed_watts, fidelity);
-  serialize_vector(out, "needed", message.host_needed_watts, fidelity);
-  if (message.has_gpu_domain()) {
-    out << "gpu_min_cap "
-        << format_value(message.gpu_min_cap_watts, fidelity) << '\n';
-    out << "gpu_tdp " << format_value(message.gpu_tdp_watts, fidelity)
-        << '\n';
-    serialize_vector(out, "gpu_observed", message.host_gpu_observed_watts,
-                     fidelity);
-    serialize_vector(out, "gpu_needed", message.host_gpu_needed_watts,
-                     fidelity);
-  }
-  if (message.sla_class != sim::SlaClass::kStandard) {
-    out << "sla_class " << sim::to_string(message.sla_class) << '\n';
-  }
-  return out.str();
-}
-
-std::string serialize(const PolicyMessage& message, WireFidelity fidelity) {
-  std::ostringstream out;
-  out << (message.has_gpu_domain() ? "powerstack-policy v3\n"
-                                   : "powerstack-policy v1\n");
-  out << "sequence " << message.sequence << '\n';
-  out << "job " << message.job_name << '\n';
-  serialize_vector(out, "caps", message.host_caps_watts, fidelity);
-  if (message.has_gpu_domain()) {
-    serialize_vector(out, "gpu_caps", message.host_gpu_caps_watts, fidelity);
-  }
-  if (message.budget_epoch != 0) {
-    out << "budget_epoch " << message.budget_epoch << '\n';
-  }
-  if (message.fence_epoch != 0) {
-    out << "fence " << message.fence_epoch << '\n';
-  }
-  return out.str();
-}
-
-std::string serialize(const BudgetMessage& message, WireFidelity fidelity) {
-  std::ostringstream out;
-  out << "powerstack-budget v1\n";
-  out << "epoch " << message.epoch << '\n';
-  out << "budget " << format_value(message.budget_watts, fidelity) << '\n';
-  out << "emergency " << (message.emergency ? 1 : 0) << '\n';
-  return out.str();
-}
-
-std::string serialize(const RackSampleMessage& message,
-                      WireFidelity fidelity) {
-  std::ostringstream out;
-  out << "powerstack-rack-sample v1\n";
-  out << "rack " << message.rack << '\n';
-  out << "round " << message.round << '\n';
-  out << "jobs " << message.samples.size() << '\n';
-  for (const SampleMessage& sample : message.samples) {
-    const std::string body = serialize(sample, fidelity);
-    out << "sample " << non_empty_lines(body).size() << '\n' << body;
-  }
-  return out.str();
-}
-
-std::string serialize(const RackPolicyMessage& message,
-                      WireFidelity fidelity) {
-  std::ostringstream out;
-  out << "powerstack-rack-policy v1\n";
-  out << "rack " << message.rack << '\n';
-  out << "round " << message.round << '\n';
-  out << "rack_budget " << format_value(message.rack_budget_watts, fidelity)
-      << '\n';
-  out << "jobs " << message.policies.size() << '\n';
-  for (const PolicyMessage& policy : message.policies) {
-    const std::string body = serialize(policy, fidelity);
-    out << "policy " << non_empty_lines(body).size() << '\n' << body;
-  }
-  return out.str();
-}
-
-SampleMessage parse_sample_message(std::string_view text) {
-  const std::vector<std::string> lines = non_empty_lines(text);
+SampleMessage parse_sample_lines(Lines lines) {
   PS_REQUIRE(!lines.empty(), "empty sample message");
   const bool v3 = lines[0] == "powerstack-sample v3";
   PS_REQUIRE(v3 || lines[0] == "powerstack-sample v1",
@@ -223,12 +207,10 @@ SampleMessage parse_sample_message(std::string_view text) {
              v3 ? "v3 sample message needs 10 or 11 lines"
                 : "sample message needs 6 or 7 lines");
   SampleMessage message;
-  message.sequence = parse_sequence(lines[1]);
+  message.sequence = parse_keyed_uint(lines[1], "sequence");
   message.job_name = parse_job_name(lines[2]);
-  PS_REQUIRE(util::starts_with(lines[3], "min_cap "),
-             "expected 'min_cap' line");
   message.min_settable_cap_watts =
-      parse_watts(util::trim(lines[3].substr(8)), "min_cap");
+      parse_watts(keyed_value(lines[3], "min_cap"), "min_cap");
   message.host_observed_watts = parse_vector(lines[4], "observed");
   message.host_needed_watts = parse_vector(lines[5], "needed");
   PS_REQUIRE(message.host_observed_watts.size() ==
@@ -237,14 +219,10 @@ SampleMessage parse_sample_message(std::string_view text) {
   PS_REQUIRE(!message.host_observed_watts.empty(),
              "sample message has no hosts");
   if (v3) {
-    PS_REQUIRE(util::starts_with(lines[6], "gpu_min_cap "),
-               "expected 'gpu_min_cap' line");
     message.gpu_min_cap_watts =
-        parse_watts(util::trim(lines[6].substr(12)), "gpu_min_cap");
-    PS_REQUIRE(util::starts_with(lines[7], "gpu_tdp "),
-               "expected 'gpu_tdp' line");
+        parse_watts(keyed_value(lines[6], "gpu_min_cap"), "gpu_min_cap");
     message.gpu_tdp_watts =
-        parse_watts(util::trim(lines[7].substr(8)), "gpu_tdp");
+        parse_watts(keyed_value(lines[7], "gpu_tdp"), "gpu_tdp");
     PS_REQUIRE(message.gpu_min_cap_watts > 0.0 &&
                    message.gpu_min_cap_watts <= message.gpu_tdp_watts,
                "GPU cap range must satisfy 0 < min <= TDP");
@@ -260,18 +238,15 @@ SampleMessage parse_sample_message(std::string_view text) {
   // Optional trailing line, only in its explicit (non-standard) form —
   // the standard case is the line's absence (the pre-SLA wire).
   if (lines.size() == base + 1) {
-    PS_REQUIRE(util::starts_with(lines[base], "sla_class "),
-               "expected 'sla_class' line");
     message.sla_class =
-        sim::parse_sla_class(util::trim(lines[base].substr(10)));
+        sim::parse_sla_class(keyed_value(lines[base], "sla_class"));
     PS_REQUIRE(message.sla_class != sim::SlaClass::kStandard,
                "explicit sla_class must be non-standard");
   }
   return message;
 }
 
-PolicyMessage parse_policy_message(std::string_view text) {
-  const std::vector<std::string> lines = non_empty_lines(text);
+PolicyMessage parse_policy_lines(Lines lines) {
   PS_REQUIRE(!lines.empty(), "empty policy message");
   const bool v3 = lines[0] == "powerstack-policy v3";
   PS_REQUIRE(v3 || lines[0] == "powerstack-policy v1",
@@ -281,7 +256,7 @@ PolicyMessage parse_policy_message(std::string_view text) {
              v3 ? "v3 policy message needs 5 to 7 lines"
                 : "policy message needs 4 to 6 lines");
   PolicyMessage message;
-  message.sequence = parse_sequence(lines[1]);
+  message.sequence = parse_keyed_uint(lines[1], "sequence");
   message.job_name = parse_job_name(lines[2]);
   message.host_caps_watts = parse_vector(lines[3], "caps");
   PS_REQUIRE(!message.host_caps_watts.empty(),
@@ -312,18 +287,105 @@ PolicyMessage parse_policy_message(std::string_view text) {
   return message;
 }
 
+/// Parses the `jobs` length-prefixed blocks after a rack frame's header.
+/// Each block is a sub-span of the frame's lines and must fit the frame
+/// (the torn-frame guard); names must ascend, the blocks must end the
+/// frame and `round` must be the newest embedded sequence.
+template <typename Message>
+std::vector<Message> parse_rack_blocks(Lines lines, std::size_t next,
+                                       std::uint64_t jobs,
+                                       std::uint64_t round,
+                                       std::string_view key,
+                                       std::string_view plural,
+                                       Message (*parse_block)(Lines)) {
+  const std::string what(key);
+  std::vector<Message> messages;
+  // Every block takes at least two lines, so a hostile job count cannot
+  // size the reservation past the frame.
+  messages.reserve(std::min<std::uint64_t>(jobs, lines.size() / 2));
+  std::uint64_t max_sequence = 0;
+  for (std::uint64_t j = 0; j < jobs; ++j) {
+    PS_REQUIRE(next < lines.size(),
+               "rack " + what + " message truncated before its block prefix");
+    const std::uint64_t count = parse_keyed_uint(lines[next], key);
+    ++next;
+    PS_REQUIRE(count > 0, what + " block must not be empty");
+    PS_REQUIRE(count <= lines.size() - next,
+               what + " block overruns the frame");
+    Message message = parse_block(lines.subspan(next, count));
+    next += count;
+    PS_REQUIRE(
+        messages.empty() || messages.back().job_name < message.job_name,
+        "rack " + std::string(plural) + " must be unique and name-ordered");
+    max_sequence = std::max(max_sequence, message.sequence);
+    messages.push_back(std::move(message));
+  }
+  PS_REQUIRE(next == lines.size(),
+             "unexpected trailing line in rack " + what + " message");
+  PS_REQUIRE(round == max_sequence,
+             "rack round must equal the max embedded sequence");
+  return messages;
+}
+
+}  // namespace
+
+std::string serialize(const SampleMessage& message, WireFidelity fidelity) {
+  std::string out;
+  append_message(out, message, fidelity);
+  return out;
+}
+
+std::string serialize(const PolicyMessage& message, WireFidelity fidelity) {
+  std::string out;
+  append_message(out, message, fidelity);
+  return out;
+}
+
+std::string serialize(const BudgetMessage& message, WireFidelity fidelity) {
+  std::string out = "powerstack-budget v1\n";
+  append_uint(out, "epoch", message.epoch);
+  append_watts(out, "budget", {&message.budget_watts, 1}, fidelity);
+  append_uint(out, "emergency", message.emergency ? 1 : 0);
+  return out;
+}
+
+std::string serialize(const RackSampleMessage& message,
+                      WireFidelity fidelity) {
+  std::string out = "powerstack-rack-sample v1\n";
+  out.append("rack ").append(message.rack) += '\n';
+  append_uint(out, "round", message.round);
+  append_blocks(out, "sample", message.samples, fidelity);
+  return out;
+}
+
+std::string serialize(const RackPolicyMessage& message,
+                      WireFidelity fidelity) {
+  std::string out = "powerstack-rack-policy v1\n";
+  out.append("rack ").append(message.rack) += '\n';
+  append_uint(out, "round", message.round);
+  append_watts(out, "rack_budget", {&message.rack_budget_watts, 1},
+               fidelity);
+  append_blocks(out, "policy", message.policies, fidelity);
+  return out;
+}
+
+SampleMessage parse_sample_message(std::string_view text) {
+  return parse_sample_lines(non_empty_lines(text));
+}
+
+PolicyMessage parse_policy_message(std::string_view text) {
+  return parse_policy_lines(non_empty_lines(text));
+}
+
 BudgetMessage parse_budget_message(std::string_view text) {
-  const std::vector<std::string> lines = non_empty_lines(text);
+  const std::vector<std::string_view> lines = non_empty_lines(text);
   PS_REQUIRE(lines.size() == 4, "budget message needs 4 lines");
   PS_REQUIRE(lines[0] == "powerstack-budget v1",
              "not a v1 budget message");
   BudgetMessage message;
   message.epoch = parse_keyed_uint(lines[1], "epoch");
   PS_REQUIRE(message.epoch != 0, "budget epoch must be non-zero");
-  PS_REQUIRE(util::starts_with(lines[2], "budget "),
-             "expected 'budget' line");
-  message.budget_watts =
-      parse_watts(util::trim(lines[2].substr(7)), "budget");
+  message.budget_watts = parse_watts(keyed_value(lines[2], "budget"), "budget");
   PS_REQUIRE(message.budget_watts > 0.0, "budget must be positive");
   const std::uint64_t emergency = parse_keyed_uint(lines[3], "emergency");
   PS_REQUIRE(emergency <= 1, "emergency must be 0 or 1");
@@ -332,7 +394,7 @@ BudgetMessage parse_budget_message(std::string_view text) {
 }
 
 RackSampleMessage parse_rack_sample_message(std::string_view text) {
-  const std::vector<std::string> lines = non_empty_lines(text);
+  const std::vector<std::string_view> lines = non_empty_lines(text);
   PS_REQUIRE(lines.size() >= 4, "truncated rack sample message");
   PS_REQUIRE(lines[0] == "powerstack-rack-sample v1",
              "not a v1 rack sample message");
@@ -341,77 +403,40 @@ RackSampleMessage parse_rack_sample_message(std::string_view text) {
   message.round = parse_keyed_uint(lines[2], "round");
   const std::uint64_t jobs = parse_keyed_uint(lines[3], "jobs");
   PS_REQUIRE(jobs > 0, "rack sample message has no jobs");
-  std::size_t next = 4;
-  std::uint64_t max_sequence = 0;
-  message.samples.reserve(jobs);
-  for (std::uint64_t j = 0; j < jobs; ++j) {
-    PS_REQUIRE(next < lines.size(),
-               "rack sample message truncated before its block prefix");
-    const std::uint64_t count = parse_keyed_uint(lines[next], "sample");
-    ++next;
-    SampleMessage sample =
-        parse_sample_message(take_block(lines, next, count, "sample"));
-    next += count;
-    PS_REQUIRE(message.samples.empty() ||
-                   message.samples.back().job_name < sample.job_name,
-               "rack samples must be unique and name-ordered");
-    max_sequence = std::max(max_sequence, sample.sequence);
-    message.samples.push_back(std::move(sample));
-  }
-  PS_REQUIRE(next == lines.size(),
-             "unexpected trailing line in rack sample message");
-  PS_REQUIRE(message.round == max_sequence,
-             "rack round must equal the max embedded sequence");
+  message.samples = parse_rack_blocks(lines, 4, jobs, message.round,
+                                      "sample", "samples", parse_sample_lines);
   return message;
 }
 
 RackPolicyMessage parse_rack_policy_message(std::string_view text) {
-  const std::vector<std::string> lines = non_empty_lines(text);
+  const std::vector<std::string_view> lines = non_empty_lines(text);
   PS_REQUIRE(lines.size() >= 5, "truncated rack policy message");
   PS_REQUIRE(lines[0] == "powerstack-rack-policy v1",
              "not a v1 rack policy message");
   RackPolicyMessage message;
   message.rack = parse_rack_name(lines[1]);
   message.round = parse_keyed_uint(lines[2], "round");
-  PS_REQUIRE(util::starts_with(lines[3], "rack_budget "),
-             "expected 'rack_budget' line");
   message.rack_budget_watts =
-      parse_watts(util::trim(lines[3].substr(12)), "rack_budget");
+      parse_watts(keyed_value(lines[3], "rack_budget"), "rack_budget");
   PS_REQUIRE(message.rack_budget_watts > 0.0,
              "rack budget must be positive");
   const std::uint64_t jobs = parse_keyed_uint(lines[4], "jobs");
   PS_REQUIRE(jobs > 0, "rack policy message has no jobs");
-  std::size_t next = 5;
-  std::uint64_t max_sequence = 0;
+  message.policies =
+      parse_rack_blocks(lines, 5, jobs, message.round, "policy", "policies",
+                        parse_policy_lines);
   double caps_sum = 0.0;
   std::size_t cap_count = 0;
-  message.policies.reserve(jobs);
-  for (std::uint64_t j = 0; j < jobs; ++j) {
-    PS_REQUIRE(next < lines.size(),
-               "rack policy message truncated before its block prefix");
-    const std::uint64_t count = parse_keyed_uint(lines[next], "policy");
-    ++next;
-    PolicyMessage policy =
-        parse_policy_message(take_block(lines, next, count, "policy"));
-    next += count;
-    PS_REQUIRE(message.policies.empty() ||
-                   message.policies.back().job_name < policy.job_name,
-               "rack policies must be unique and name-ordered");
-    max_sequence = std::max(max_sequence, policy.sequence);
+  for (const PolicyMessage& policy : message.policies) {
     for (double cap : policy.host_caps_watts) {
       caps_sum += cap;
-      ++cap_count;
     }
     for (double cap : policy.host_gpu_caps_watts) {
       caps_sum += cap;
-      ++cap_count;
     }
-    message.policies.push_back(std::move(policy));
+    cap_count +=
+        policy.host_caps_watts.size() + policy.host_gpu_caps_watts.size();
   }
-  PS_REQUIRE(next == lines.size(),
-             "unexpected trailing line in rack policy message");
-  PS_REQUIRE(message.round == max_sequence,
-             "rack round must equal the max embedded sequence");
   // The rack budget is the sum of the embedded caps; allow display-
   // fidelity rounding (each value rounds by at most half a milliwatt).
   const double tolerance = 5e-4 * static_cast<double>(cap_count + 1) +

@@ -183,15 +183,15 @@ enum class WireFidelity { kDisplay, kExact };
 ///   ...
 ///
 /// Each `sample N` / `policy N` prefix states how many non-empty lines
-/// the embedded message occupies, so the parser can delimit blocks
-/// without re-deriving version-specific line counts — the embedded
-/// blocks are handed to the ordinary sample/policy parsers and inherit
-/// all of their strictness. The rack-policy form inserts a
-/// `rack_budget <watts>` line between `round` and `jobs`. Parsers throw
-/// ps::InvalidArgument on torn frames (block counts that overrun the
-/// payload), job counts that disagree with the block count, duplicate or
-/// out-of-name-order jobs, and a `round` that is not the max embedded
-/// sequence.
+/// the embedded message occupies, so the parser delimits blocks without
+/// re-deriving version-specific line counts. A frame is split once into
+/// line views; each block is a sub-span of them, not a re-joined string,
+/// parsed by the flat sample/policy parsers with all of their strictness.
+/// The rack-policy form inserts a `rack_budget <watts>` line between
+/// `round` and `jobs`. Parsers throw ps::InvalidArgument on torn frames
+/// (block counts that overrun the payload), job counts that disagree with
+/// the block count, duplicate or out-of-name-order jobs, and a `round`
+/// that is not the max embedded sequence.
 [[nodiscard]] std::string serialize(const RackSampleMessage& message,
                                     WireFidelity fidelity =
                                         WireFidelity::kDisplay);

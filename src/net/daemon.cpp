@@ -25,6 +25,30 @@ constexpr double kRoundLatencyBounds[] = {0.0005, 0.001, 0.002, 0.005,
                                           0.25,   0.5,   1.0,   2.5,
                                           5.0};
 
+/// `watts` plus one job's CPU then GPU caps, added one by one: the order
+/// every watt total of the daemon is summed in.
+double plus_caps(double watts, const std::vector<double>& caps,
+                 const std::vector<double>& gpu_caps) {
+  for (const double cap : caps) {
+    watts += cap;
+  }
+  for (const double cap : gpu_caps) {
+    watts += cap;
+  }
+  return watts;
+}
+
+/// Batches one job's caps into a rack reply: the reply's round is its
+/// newest sequence and its rack budget the sum of its caps.
+void add_to_rack_reply(core::RackPolicyMessage& reply,
+                       core::PolicyMessage policy) {
+  reply.round = std::max(reply.round, policy.sequence);
+  reply.rack_budget_watts = plus_caps(
+      reply.rack_budget_watts, policy.host_caps_watts,
+      policy.host_gpu_caps_watts);
+  reply.policies.push_back(std::move(policy));
+}
+
 }  // namespace
 
 PowerDaemon::PowerDaemon(const DaemonOptions& options)
@@ -343,7 +367,6 @@ void PowerDaemon::close_session(int fd, bool protocol_error) {
   const bool registered = session->registered;
   const std::string job_name = session->job_name;
   const bool is_rack = session->is_rack;
-  const std::vector<std::string> rack_jobs = session->rack_jobs;
   // The peer observes EOF the moment the fd closes, so keep the
   // transport alive until every consequence of this close (protocol
   // error attribution, quarantine, eviction) is recorded: a stats()
@@ -395,13 +418,13 @@ void PowerDaemon::close_session(int fd, bool protocol_error) {
     // the aggregator does not reconnect in time. Rack protocol errors
     // are not attributed to individual jobs: an aggregator is trusted
     // infrastructure, and quarantining a whole rack's jobs for one bad
-    // frame would amplify a transient fault into a mass eviction.
+    // frame would amplify a transient fault into a mass eviction. The
+    // rack's jobs are exactly the records bound to its fd.
     const auto now = Clock::now();
-    for (const std::string& name : rack_jobs) {
-      const auto jit = jobs_.find(name);
-      if (jit != jobs_.end() && jit->second.session_fd == fd) {
-        jit->second.session_fd = -1;
-        jit->second.disconnected_at = now;
+    for (auto& [name, record] : jobs_) {
+      if (record.session_fd == fd) {
+        record.session_fd = -1;
+        record.disconnected_at = now;
       }
     }
   }
@@ -464,34 +487,30 @@ void PowerDaemon::prune_quarantine(Clock::time_point now) {
   }
 }
 
+double PowerDaemon::stored_watts() const {
+  double watts = 0.0;
+  for (const auto& [name, record] : jobs_) {
+    watts = plus_caps(watts, record.last_caps_watts,
+                      record.last_gpu_caps_watts);
+  }
+  return watts;
+}
+
 void PowerDaemon::evict_job(const std::string& name) {
   const auto it = jobs_.find(name);
   if (it == jobs_.end()) {
     return;  // idempotent: watts can only be returned once
   }
-  double stored_before = 0.0;
-  for (const auto& [job_name, job_record] : jobs_) {
-    for (const double cap : job_record.last_caps_watts) {
-      stored_before += cap;
-    }
-    for (const double cap : job_record.last_gpu_caps_watts) {
-      stored_before += cap;
-    }
-  }
+  const double stored_before = stored_watts();
   const JobRecord record = std::move(it->second);
   jobs_.erase(it);
 
   if (record.session_fd >= 0) {
     NetSession* session = sessions_.find(record.session_fd);
-    if (session != nullptr && session->is_rack) {
-      // A rack session multiplexes many jobs: evicting one (heartbeat
-      // stall, quarantine) must not sever the aggregator's link and take
-      // the whole rack down with it. Unbind the job and keep serving the
-      // rest of the rack.
-      session->rack_jobs.erase(std::remove(session->rack_jobs.begin(),
-                                           session->rack_jobs.end(), name),
-                               session->rack_jobs.end());
-    } else if (session != nullptr) {
+    // A rack session multiplexes many jobs: evicting one (heartbeat stall,
+    // quarantine) must not sever the aggregator's link and take the whole
+    // rack down with it. Erasing the record is all the unbinding it needs.
+    if (session != nullptr && !session->is_rack) {
       const std::unique_ptr<Transport> transport =
           sessions_.remove(record.session_fd);
       transport->close();
@@ -500,22 +519,9 @@ void PowerDaemon::evict_job(const std::string& name) {
     }
   }
 
-  double reclaimed = 0.0;
-  for (const double cap : record.last_caps_watts) {
-    reclaimed += cap;
-  }
-  for (const double cap : record.last_gpu_caps_watts) {
-    reclaimed += cap;
-  }
-  double stored_after = 0.0;
-  for (const auto& [job_name, job_record] : jobs_) {
-    for (const double cap : job_record.last_caps_watts) {
-      stored_after += cap;
-    }
-    for (const double cap : job_record.last_gpu_caps_watts) {
-      stored_after += cap;
-    }
-  }
+  const double reclaimed =
+      plus_caps(0.0, record.last_caps_watts, record.last_gpu_caps_watts);
+  const double stored_after = stored_watts();
   // Exactly-once reclamation in watt terms: the pool before the eviction
   // equals what the job freed plus what everyone else still holds.
   core::invariants::check_watts_conserved(stored_before, reclaimed,
@@ -749,12 +755,8 @@ void PowerDaemon::handle_rack_frame(int fd, NetSession& session,
   for (core::SampleMessage& sample : rack.samples) {
     const std::string job_name = sample.job_name;
     JobRecord& record = bind_job_record(fd, job_name);
-    if (std::find(session.rack_jobs.begin(), session.rack_jobs.end(),
-                  job_name) == session.rack_jobs.end()) {
-      session.rack_jobs.push_back(job_name);
-    }
     if (offer_sample(record, std::move(sample), now)) {
-      resend.policies.push_back(stored_policy(job_name, record));
+      add_to_rack_reply(resend, stored_policy(job_name, record));
     }
   }
   {
@@ -767,15 +769,6 @@ void PowerDaemon::handle_rack_frame(int fd, NetSession& session,
     // Already-answered rounds (post-crash reconnects, lost replies) get
     // one batched resend of the stored caps, mirroring the flat path's
     // per-job resend.
-    for (const core::PolicyMessage& policy : resend.policies) {
-      resend.round = std::max(resend.round, policy.sequence);
-      for (const double cap : policy.host_caps_watts) {
-        resend.rack_budget_watts += cap;
-      }
-      for (const double cap : policy.host_gpu_caps_watts) {
-        resend.rack_budget_watts += cap;
-      }
-    }
     {
       const std::lock_guard<std::mutex> lock(shared_mutex_);
       ++stats_.rack_policies_resent;
@@ -937,20 +930,11 @@ void PowerDaemon::allocate_once() {
   } else {
     // The caps in force, held when the policy's output would exceed the
     // budget while they still fit it.
-    double stored_watts = 0.0;
-    for (const auto& [name, record] : jobs_) {
-      for (const double cap : record.last_caps_watts) {
-        stored_watts += cap;
-      }
-      for (const double cap : record.last_gpu_caps_watts) {
-        stored_watts += cap;
-      }
-    }
     core::RmStepResult step = core::rm_step(
         *policy_,
         core::context_from_samples(budget_watts_, options_.node_tdp_watts,
                                    options_.uncappable_watts, samples),
-        stored_watts, policy_->is_system_aware());
+        stored_watts(), policy_->is_system_aware());
     if (step.over_budget()) {
       {
         const std::lock_guard<std::mutex> lock(shared_mutex_);
@@ -988,12 +972,8 @@ void PowerDaemon::allocate_once() {
     record.last_gpu_caps_watts = messages[j].host_gpu_caps_watts;
     record.last_sequence = messages[j].sequence;
     record.have_policy = true;
-    for (const double cap : messages[j].host_caps_watts) {
-      round_watts += cap;
-    }
-    for (const double cap : messages[j].host_gpu_caps_watts) {
-      round_watts += cap;
-    }
+    round_watts = plus_caps(round_watts, messages[j].host_caps_watts,
+                            messages[j].host_gpu_caps_watts);
   }
   // The round's deterministic trace record, on the round-sequence clock:
   // round r here is coordination epoch r-1's RM step, and the caps carry
@@ -1062,14 +1042,7 @@ void PowerDaemon::allocate_once() {
         // caps, i.e. the rack's renegotiated share for this epoch.
         core::RackPolicyMessage& reply = rack_replies[fd];
         reply.rack = session->rack_name;
-        reply.round = std::max(reply.round, messages[j].sequence);
-        for (const double cap : messages[j].host_caps_watts) {
-          reply.rack_budget_watts += cap;
-        }
-        for (const double cap : messages[j].host_gpu_caps_watts) {
-          reply.rack_budget_watts += cap;
-        }
-        reply.policies.push_back(messages[j]);
+        add_to_rack_reply(reply, messages[j]);
       } else {
         queue_message(fd, *session, messages[j]);
         ++fanout_sessions;

@@ -290,6 +290,8 @@ class PowerDaemon {
                     Clock::time_point now);
   void close_session(int fd, bool protocol_error);
   void evict_job(const std::string& name);
+  /// Every job's stored CPU and GPU caps, summed one by one in job order.
+  [[nodiscard]] double stored_watts() const;
   void queue_message(int fd, NetSession& session,
                      const core::PolicyMessage& message);
   [[nodiscard]] core::PolicyMessage stored_policy(const std::string& name,

@@ -28,10 +28,10 @@ struct NetSession {
   std::string job_name;
   bool registered = false;
   /// Root-mode registration: this session is a rack aggregator carrying
-  /// many jobs' traffic in batched frames.
+  /// many jobs' traffic in batched frames. Its jobs are the daemon's job
+  /// records bound to this fd.
   bool is_rack = false;
   std::string rack_name;
-  std::vector<std::string> rack_jobs;  ///< Jobs bound through this rack.
   std::chrono::steady_clock::time_point last_activity;
 };
 

@@ -71,6 +71,13 @@ const std::vector<MalformedCase>& malformed_rack_samples() {
        "sample 4294967295\n"
        "powerstack-sample v1\nsequence 1\njob a\nmin_cap 152\n"
        "observed 180\nneeded 170\n"},
+      // A job count no frame could hold must fail as a protocol error,
+      // not size an allocation.
+      {"hostile_huge_job_count",
+       "powerstack-rack-sample v1\nrack r0\nround 1\n"
+       "jobs 18446744073709551615\nsample 6\n"
+       "powerstack-sample v1\nsequence 1\njob a\nmin_cap 152\n"
+       "observed 180\nneeded 170\n"},
       {"zero_block_count",
        "powerstack-rack-sample v1\nrack r0\nround 1\njobs 1\nsample 0\n"
        "powerstack-sample v1\nsequence 1\njob a\nmin_cap 152\n"
@@ -145,6 +152,10 @@ const std::vector<MalformedCase>& malformed_rack_policies() {
       {"hostile_huge_policy_count",
        "powerstack-rack-policy v1\nrack r0\nround 1\nrack_budget 180\n"
        "jobs 1\npolicy 18446744073709551615\n"
+       "powerstack-policy v1\nsequence 1\njob a\ncaps 180\n"},
+      {"hostile_huge_policy_job_count",
+       "powerstack-rack-policy v1\nrack r0\nround 1\nrack_budget 180\n"
+       "jobs 18446744073709551615\npolicy 4\n"
        "powerstack-policy v1\nsequence 1\njob a\ncaps 180\n"},
       {"duplicate_policy_job",
        "powerstack-rack-policy v1\nrack r0\nround 1\nrack_budget 360\n"

@@ -5,7 +5,8 @@
 // next allocation would overspend). Also covers the rack-session variant
 // of the same audit: evicting one job bound through a rack session must
 // unbind that job without closing the rack session the surviving jobs
-// still depend on.
+// still depend on, and closing a rack session must put exactly that
+// rack's remaining jobs into grace.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -335,6 +336,158 @@ TEST(BatchedWriteTest, RackJobEvictionUnbindsWithoutClosingRackSession) {
   EXPECT_LE(total, budget + 1e-6);
 
   rack.close();
+  root.stop();
+  serving.join();
+  std::remove(socket_path.c_str());
+}
+
+/// One rack frame of `jobs`, every sample at `sequence`.
+std::string rack_frame(const std::string& rack,
+                       const std::vector<std::string>& jobs,
+                       std::uint64_t sequence) {
+  core::RackSampleMessage frame;
+  frame.rack = rack;
+  frame.round = sequence;
+  for (const std::string& job : jobs) {
+    frame.samples.push_back(make_sample(job, sequence));
+  }
+  return serialize(frame, core::WireFidelity::kExact);
+}
+
+/// The next rack-policy frame on `socket` whose round is `round`.
+std::optional<core::RackPolicyMessage> read_rack_round(
+    Socket& socket, FrameDecoder& decoder, std::uint64_t round) {
+  const auto deadline = steady_clock::now() + milliseconds(5000);
+  while (steady_clock::now() < deadline) {
+    const std::optional<std::string> reply =
+        read_payload(socket, decoder, milliseconds(1000));
+    if (!reply.has_value() ||
+        core::wire_message_kind(*reply) != core::WireMessageKind::kRackPolicy) {
+      continue;
+    }
+    core::RackPolicyMessage policy = core::parse_rack_policy_message(*reply);
+    if (policy.round == round) {
+      return policy;
+    }
+  }
+  return std::nullopt;
+}
+
+std::vector<std::string> job_names(const core::RackPolicyMessage& reply) {
+  std::vector<std::string> names;
+  for (const core::PolicyMessage& policy : reply.policies) {
+    names.push_back(policy.job_name);
+  }
+  return names;
+}
+
+TEST(HierarchyRackSessionTest, RackCloseGracesExactlyItsOwnJobs) {
+  // A rack's jobs are the job records bound to its session. Closing rack
+  // A must put exactly A's remaining jobs into grace and leave rack B's
+  // bound; the job A lost to a stall eviction must stay gone; and A's
+  // reconnect must rebind its jobs and hear their stored caps again.
+  DaemonOptions options;
+  options.system_budget_watts = 5.0 * 2.0 * 210.0;  // 5 jobs x 2 hosts
+  options.node_tdp_watts = 256.0;
+  options.uncappable_watts = 16.0;
+  options.min_jobs = 5;
+  options.tick_interval = milliseconds(10);
+  options.reclaim_timeout = milliseconds(60'000);  // grace outlives the test
+  options.heartbeat_timeout = milliseconds(300);
+  options.root_mode = true;
+  PowerDaemon root(options);
+  const std::string socket_path = unique_path("membership");
+  root.listen_unix(socket_path);
+  std::thread serving([&root] { root.run(); });
+
+  Socket rack_a = connect_unix(socket_path);
+  FrameDecoder decoder_a;
+  Socket rack_b = connect_unix(socket_path);
+  FrameDecoder decoder_b;
+
+  send_payload(rack_a, rack_frame("ra", {"a1", "a2", "a3"}, 0));
+  send_payload(rack_b, rack_frame("rb", {"b1", "b2"}, 0));
+  ASSERT_TRUE(read_rack_round(rack_a, decoder_a, 0).has_value());
+  ASSERT_TRUE(read_rack_round(rack_b, decoder_b, 0).has_value());
+
+  // Round 1 without a3: its heartbeat stall evicts it and the round
+  // completes over the other four jobs.
+  send_payload(rack_a, rack_frame("ra", {"a1", "a2"}, 1));
+  send_payload(rack_b, rack_frame("rb", {"b1", "b2"}, 1));
+  const std::optional<core::RackPolicyMessage> round1_a =
+      read_rack_round(rack_a, decoder_a, 1);
+  const std::optional<core::RackPolicyMessage> round1_b =
+      read_rack_round(rack_b, decoder_b, 1);
+  ASSERT_TRUE(round1_a.has_value());
+  ASSERT_TRUE(round1_b.has_value());
+  EXPECT_EQ(job_names(*round1_a), (std::vector<std::string>{"a1", "a2"}));
+  EXPECT_EQ(job_names(*round1_b), (std::vector<std::string>{"b1", "b2"}));
+  const DaemonStats before_close = root.stats();
+  ASSERT_EQ(before_close.jobs_evicted, 1u);
+  ASSERT_EQ(before_close.rack_sessions, 2u);
+  ASSERT_EQ(before_close.sessions_closed, 0u);
+
+  rack_a.close();
+  ASSERT_TRUE(wait_for([&root] { return root.stats().sessions_closed == 1; },
+                       milliseconds(5000)));
+  EXPECT_EQ(root.stats().rack_sessions, 1u);
+
+  // Rack B retries its answered round: its jobs are still bound to its
+  // session, so nothing rebinds, and the stored caps come back as they
+  // were.
+  send_payload(rack_b, rack_frame("rb", {"b1", "b2"}, 1));
+  const std::optional<core::RackPolicyMessage> resend_b =
+      read_rack_round(rack_b, decoder_b, 1);
+  ASSERT_TRUE(resend_b.has_value());
+  EXPECT_EQ(*resend_b, *round1_b);
+  const DaemonStats after_b = root.stats();
+  EXPECT_EQ(after_b.sessions_rehydrated, before_close.sessions_rehydrated);
+  EXPECT_EQ(after_b.rack_policies_resent,
+            before_close.rack_policies_resent + 1);
+
+  // Rack A reconnects and retries its answered round: exactly its two
+  // remaining jobs rebind out of grace (a job still bound to the dead
+  // session would be refused as already registered), a3 stays gone, and
+  // the stored caps come back as one batched resend.
+  Socket rack_a2 = connect_unix(socket_path);
+  FrameDecoder decoder_a2;
+  send_payload(rack_a2, rack_frame("ra", {"a1", "a2"}, 1));
+  const std::optional<core::RackPolicyMessage> resend_a =
+      read_rack_round(rack_a2, decoder_a2, 1);
+  ASSERT_TRUE(resend_a.has_value());
+  EXPECT_EQ(*resend_a, *round1_a);
+  const DaemonStats after_a = root.stats();
+  EXPECT_EQ(after_a.sessions_rehydrated,
+            before_close.sessions_rehydrated + 2);
+  EXPECT_EQ(after_a.rack_sessions, 2u);
+
+  // The next round completes over the four live jobs only. Rack B
+  // reconnects for it, so while the round waits no job is connected,
+  // unanswered and old enough for the heartbeat to evict.
+  rack_b.close();
+  ASSERT_TRUE(wait_for([&root] { return root.stats().sessions_closed == 2; },
+                       milliseconds(5000)));
+  send_payload(rack_a2, rack_frame("ra", {"a1", "a2"}, 2));
+  Socket rack_b2 = connect_unix(socket_path);
+  FrameDecoder decoder_b2;
+  send_payload(rack_b2, rack_frame("rb", {"b1", "b2"}, 2));
+  const std::optional<core::RackPolicyMessage> round2_a =
+      read_rack_round(rack_a2, decoder_a2, 2);
+  const std::optional<core::RackPolicyMessage> round2_b =
+      read_rack_round(rack_b2, decoder_b2, 2);
+  ASSERT_TRUE(round2_a.has_value());
+  ASSERT_TRUE(round2_b.has_value());
+  EXPECT_EQ(job_names(*round2_a), (std::vector<std::string>{"a1", "a2"}));
+  EXPECT_EQ(job_names(*round2_b), (std::vector<std::string>{"b1", "b2"}));
+  const DaemonStats final_stats = root.stats();
+  EXPECT_EQ(final_stats.jobs_evicted, 1u);
+  EXPECT_EQ(final_stats.allocations, before_close.allocations + 1);
+  EXPECT_EQ(final_stats.sessions_rehydrated,
+            before_close.sessions_rehydrated + 4);
+  EXPECT_EQ(final_stats.protocol_errors, 0u);
+
+  rack_a2.close();
+  rack_b2.close();
   root.stop();
   serving.join();
   std::remove(socket_path.c_str());
