@@ -370,7 +370,10 @@ void BM_DaemonRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_DaemonRoundTrip)->Arg(8)->Arg(100)
     ->Unit(benchmark::kMicrosecond);
 
+/// A snapshot of `jobs` jobs x `hosts` hosts with full-precision caps, as
+/// the allocator produces them.
 net::DaemonSnapshot bench_snapshot(std::size_t jobs, std::size_t hosts) {
+  util::Rng rng(12);
   net::DaemonSnapshot snapshot;
   snapshot.system_budget_watts =
       190.0 * static_cast<double>(jobs * hosts);
@@ -381,7 +384,7 @@ net::DaemonSnapshot bench_snapshot(std::size_t jobs, std::size_t hosts) {
     job.name = "bench-job-" + std::to_string(j);
     job.sequence = 12;
     for (std::size_t h = 0; h < hosts; ++h) {
-      job.caps_watts.push_back(181.25 + 0.125 * static_cast<double>(h));
+      job.caps_watts.push_back(rng.uniform(80.0, 256.0));
     }
     snapshot.jobs.push_back(std::move(job));
   }
@@ -389,21 +392,28 @@ net::DaemonSnapshot bench_snapshot(std::size_t jobs, std::size_t hosts) {
 }
 
 /// The write-ahead snapshot's CPU cost per allocation round: serialize
-/// (checksummed text) plus the restart-side parse/validate, in memory.
+/// (checksummed text) plus the restart-side parse/validate, in memory, of
+/// range(0) jobs x range(1) hosts. 10000 x 1 is the tree round's shape.
 void BM_SnapshotSerializeRestore(benchmark::State& state) {
   const net::DaemonSnapshot snapshot =
-      bench_snapshot(static_cast<std::size_t>(state.range(0)), 100);
+      bench_snapshot(static_cast<std::size_t>(state.range(0)),
+                     static_cast<std::size_t>(state.range(1)));
   std::size_t bytes = 0;
   for (auto _ : state) {
     const std::string text = net::serialize(snapshot);
     bytes = text.size();
     benchmark::DoNotOptimize(net::parse_snapshot(text));
   }
-  state.SetItemsProcessed(state.iterations() * state.range(0) * 100);
+  state.SetItemsProcessed(state.iterations() * state.range(0) *
+                          state.range(1));
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(bytes));
 }
-BENCHMARK(BM_SnapshotSerializeRestore)->Arg(4)->Arg(9);
+BENCHMARK(BM_SnapshotSerializeRestore)
+    ->Args({4, 100})
+    ->Args({9, 100})
+    ->Args({10000, 1})
+    ->Unit(benchmark::kMicrosecond);
 
 /// The durable write-ahead cost (tmp file + fsync + rename) the daemon
 /// pays before answering a round, plus the restart-side load.
