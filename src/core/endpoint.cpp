@@ -1,13 +1,13 @@
 #include "core/endpoint.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <span>
 
 #include "runtime/power_balancer_agent.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
+#include "util/table.hpp"
 
 namespace ps::core {
 
@@ -18,58 +18,25 @@ namespace {
 using Lines = std::span<const std::string_view>;
 
 /// Appends `key` and one watt value per element: milliwatt fixed point
-/// for kDisplay, the shortest round-tripping decimal for kExact. 320
-/// chars hold the fixed rendering of the largest double.
+/// for kDisplay, the exact util::append_watts for kExact.
 void append_watts(std::string& out, std::string_view key,
                   std::span<const double> values, WireFidelity fidelity) {
+  if (fidelity == WireFidelity::kExact) {
+    util::append_watts(out, key, values);
+    return;
+  }
   out += key;
   for (const double value : values) {
-    char buffer[320];
-    const auto [ptr, ec] =
-        fidelity == WireFidelity::kDisplay
-            ? std::to_chars(buffer, buffer + sizeof(buffer), value,
-                            std::chars_format::fixed, 3)
-            : std::to_chars(buffer, buffer + sizeof(buffer), value);
-    PS_REQUIRE(ec == std::errc{}, "unencodable watt value");
-    out += ' ';
-    out.append(buffer, ptr);
+    out.append(" ").append(util::format_fixed(value, 3));
   }
   out += '\n';
-}
-
-void append_uint(std::string& out, std::string_view key,
-                 std::uint64_t value) {
-  char buffer[24];
-  char* end = std::to_chars(buffer, buffer + sizeof(buffer), value).ptr;
-  out.append(key).append(" ").append(buffer, end) += '\n';
-}
-
-/// Calls `visit` on every line of `text` that holds more than whitespace.
-template <typename Visit>
-void for_each_non_empty_line(std::string_view text, Visit visit) {
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t end = std::min(text.find('\n', start), text.size());
-    const std::string_view line = text.substr(start, end - start);
-    if (!util::trim(line).empty()) {
-      visit(line);
-    }
-    start = end + 1;
-  }
-}
-
-std::vector<std::string_view> non_empty_lines(std::string_view text) {
-  std::vector<std::string_view> lines;
-  for_each_non_empty_line(
-      text, [&lines](std::string_view line) { lines.push_back(line); });
-  return lines;
 }
 
 void append_message(std::string& out, const SampleMessage& message,
                     WireFidelity fidelity) {
   out += message.has_gpu_domain() ? "powerstack-sample v3\n"
                                   : "powerstack-sample v1\n";
-  append_uint(out, "sequence", message.sequence);
+  util::append_uint(out, "sequence", message.sequence);
   out.append("job ").append(message.job_name) += '\n';
   append_watts(out, "min_cap", {&message.min_settable_cap_watts, 1},
                fidelity);
@@ -94,17 +61,17 @@ void append_message(std::string& out, const PolicyMessage& message,
                     WireFidelity fidelity) {
   out += message.has_gpu_domain() ? "powerstack-policy v3\n"
                                   : "powerstack-policy v1\n";
-  append_uint(out, "sequence", message.sequence);
+  util::append_uint(out, "sequence", message.sequence);
   out.append("job ").append(message.job_name) += '\n';
   append_watts(out, "caps", message.host_caps_watts, fidelity);
   if (message.has_gpu_domain()) {
     append_watts(out, "gpu_caps", message.host_gpu_caps_watts, fidelity);
   }
   if (message.budget_epoch != 0) {
-    append_uint(out, "budget_epoch", message.budget_epoch);
+    util::append_uint(out, "budget_epoch", message.budget_epoch);
   }
   if (message.fence_epoch != 0) {
-    append_uint(out, "fence", message.fence_epoch);
+    util::append_uint(out, "fence", message.fence_epoch);
   }
 }
 
@@ -115,79 +82,34 @@ template <typename Message>
 void append_blocks(std::string& out, std::string_view key,
                    const std::vector<Message>& messages,
                    WireFidelity fidelity) {
-  append_uint(out, "jobs", messages.size());
+  util::append_uint(out, "jobs", messages.size());
   std::string body;
   for (const Message& message : messages) {
     body.clear();
     append_message(body, message, fidelity);
     std::uint64_t count = 0;
-    for_each_non_empty_line(body, [&count](std::string_view) { ++count; });
-    append_uint(out, key, count);
+    util::for_each_non_empty_line(body,
+                                  [&count](std::string_view) { ++count; });
+    util::append_uint(out, key, count);
     out += body;
   }
 }
 
-/// Strict full-token watt parse: rejects trailing garbage, non-finite
-/// values (NaN/inf), and negative watts.
-double parse_watts(std::string_view token, std::string_view what) {
-  double value = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  PS_REQUIRE(ec == std::errc{} && ptr == token.data() + token.size(),
-             "non-numeric " + std::string(what) + " field");
-  PS_REQUIRE(std::isfinite(value),
-             std::string(what) + " must be finite");
-  PS_REQUIRE(value >= 0.0, std::string(what) + " must be non-negative");
-  return value;
-}
-
-std::uint64_t parse_keyed_uint(std::string_view line, std::string_view key) {
-  PS_REQUIRE(util::starts_with(line, key) && line.size() > key.size() + 1 &&
-                 line[key.size()] == ' ',
-             "expected '" + std::string(key) + "' line");
-  const std::string_view token = line.substr(key.size() + 1);
-  std::uint64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  PS_REQUIRE(ec == std::errc{} && ptr == token.data() + token.size(),
-             "non-numeric " + std::string(key) + " field");
-  return value;
-}
-
-/// The trimmed text after `key` on a line that must start with `key `.
-std::string_view keyed_value(std::string_view line, std::string_view key) {
-  PS_REQUIRE(util::starts_with(line, key) && line.size() > key.size() &&
-                 line[key.size()] == ' ',
-             "expected '" + std::string(key) + "' line");
-  return util::trim(line.substr(key.size() + 1));
-}
-
 std::string parse_job_name(std::string_view line) {
-  const std::string_view name = keyed_value(line, "job");
+  const std::string_view name = util::keyed_value(line, "job");
   PS_REQUIRE(!name.empty(), "empty job name");
   return std::string(name);
 }
 
-/// The watts after `key`, tokenised in place on single spaces (runs of
-/// spaces leave empty tokens, which are skipped).
+/// The watts after `key`, untrimmed (see util::for_each_token).
 std::vector<double> parse_vector(std::string_view line,
                                  std::string_view key) {
-  PS_REQUIRE(util::starts_with(line, key),
-             "expected '" + std::string(key) + "' line");
-  std::vector<double> values;
-  std::string_view rest = line.substr(key.size());
-  while (!rest.empty()) {
-    const std::size_t space = std::min(rest.find(' '), rest.size());
-    if (space > 0) {
-      values.push_back(parse_watts(rest.substr(0, space), key));
-    }
-    rest.remove_prefix(std::min(space + 1, rest.size()));
-  }
-  return values;
+  PS_REQUIRE(util::starts_with(line, key), util::expected_line(key));
+  return util::parse_watts_list(line.substr(key.size()), key);
 }
 
 std::string parse_rack_name(std::string_view line) {
-  const std::string_view name = keyed_value(line, "rack");
+  const std::string_view name = util::keyed_value(line, "rack");
   PS_REQUIRE(!name.empty(), "empty rack name");
   PS_REQUIRE(name.find(' ') == std::string_view::npos,
              "rack name must be a single token");
@@ -207,10 +129,10 @@ SampleMessage parse_sample_lines(Lines lines) {
              v3 ? "v3 sample message needs 10 or 11 lines"
                 : "sample message needs 6 or 7 lines");
   SampleMessage message;
-  message.sequence = parse_keyed_uint(lines[1], "sequence");
+  message.sequence = util::keyed_u64(lines[1], "sequence");
   message.job_name = parse_job_name(lines[2]);
   message.min_settable_cap_watts =
-      parse_watts(keyed_value(lines[3], "min_cap"), "min_cap");
+      util::keyed_watts(lines[3], "min_cap");
   message.host_observed_watts = parse_vector(lines[4], "observed");
   message.host_needed_watts = parse_vector(lines[5], "needed");
   PS_REQUIRE(message.host_observed_watts.size() ==
@@ -220,9 +142,9 @@ SampleMessage parse_sample_lines(Lines lines) {
              "sample message has no hosts");
   if (v3) {
     message.gpu_min_cap_watts =
-        parse_watts(keyed_value(lines[6], "gpu_min_cap"), "gpu_min_cap");
+        util::keyed_watts(lines[6], "gpu_min_cap");
     message.gpu_tdp_watts =
-        parse_watts(keyed_value(lines[7], "gpu_tdp"), "gpu_tdp");
+        util::keyed_watts(lines[7], "gpu_tdp");
     PS_REQUIRE(message.gpu_min_cap_watts > 0.0 &&
                    message.gpu_min_cap_watts <= message.gpu_tdp_watts,
                "GPU cap range must satisfy 0 < min <= TDP");
@@ -239,7 +161,7 @@ SampleMessage parse_sample_lines(Lines lines) {
   // the standard case is the line's absence (the pre-SLA wire).
   if (lines.size() == base + 1) {
     message.sla_class =
-        sim::parse_sla_class(keyed_value(lines[base], "sla_class"));
+        sim::parse_sla_class(util::keyed_value(lines[base], "sla_class"));
     PS_REQUIRE(message.sla_class != sim::SlaClass::kStandard,
                "explicit sla_class must be non-standard");
   }
@@ -256,7 +178,7 @@ PolicyMessage parse_policy_lines(Lines lines) {
              v3 ? "v3 policy message needs 5 to 7 lines"
                 : "policy message needs 4 to 6 lines");
   PolicyMessage message;
-  message.sequence = parse_keyed_uint(lines[1], "sequence");
+  message.sequence = util::keyed_u64(lines[1], "sequence");
   message.job_name = parse_job_name(lines[2]);
   message.host_caps_watts = parse_vector(lines[3], "caps");
   PS_REQUIRE(!message.host_caps_watts.empty(),
@@ -271,13 +193,13 @@ PolicyMessage parse_policy_lines(Lines lines) {
   // its explicit (non-zero) form — the zero case is the line's absence.
   std::size_t next = base;
   if (next < lines.size() && util::starts_with(lines[next], "budget_epoch ")) {
-    message.budget_epoch = parse_keyed_uint(lines[next], "budget_epoch");
+    message.budget_epoch = util::keyed_u64(lines[next], "budget_epoch");
     PS_REQUIRE(message.budget_epoch != 0,
                "explicit budget_epoch must be non-zero");
     ++next;
   }
   if (next < lines.size() && util::starts_with(lines[next], "fence ")) {
-    message.fence_epoch = parse_keyed_uint(lines[next], "fence");
+    message.fence_epoch = util::keyed_u64(lines[next], "fence");
     PS_REQUIRE(message.fence_epoch != 0,
                "explicit fence must be non-zero");
     ++next;
@@ -307,7 +229,7 @@ std::vector<Message> parse_rack_blocks(Lines lines, std::size_t next,
   for (std::uint64_t j = 0; j < jobs; ++j) {
     PS_REQUIRE(next < lines.size(),
                "rack " + what + " message truncated before its block prefix");
-    const std::uint64_t count = parse_keyed_uint(lines[next], key);
+    const std::uint64_t count = util::keyed_u64(lines[next], key);
     ++next;
     PS_REQUIRE(count > 0, what + " block must not be empty");
     PS_REQUIRE(count <= lines.size() - next,
@@ -343,9 +265,9 @@ std::string serialize(const PolicyMessage& message, WireFidelity fidelity) {
 
 std::string serialize(const BudgetMessage& message, WireFidelity fidelity) {
   std::string out = "powerstack-budget v1\n";
-  append_uint(out, "epoch", message.epoch);
+  util::append_uint(out, "epoch", message.epoch);
   append_watts(out, "budget", {&message.budget_watts, 1}, fidelity);
-  append_uint(out, "emergency", message.emergency ? 1 : 0);
+  util::append_uint(out, "emergency", message.emergency ? 1 : 0);
   return out;
 }
 
@@ -353,7 +275,7 @@ std::string serialize(const RackSampleMessage& message,
                       WireFidelity fidelity) {
   std::string out = "powerstack-rack-sample v1\n";
   out.append("rack ").append(message.rack) += '\n';
-  append_uint(out, "round", message.round);
+  util::append_uint(out, "round", message.round);
   append_blocks(out, "sample", message.samples, fidelity);
   return out;
 }
@@ -362,7 +284,7 @@ std::string serialize(const RackPolicyMessage& message,
                       WireFidelity fidelity) {
   std::string out = "powerstack-rack-policy v1\n";
   out.append("rack ").append(message.rack) += '\n';
-  append_uint(out, "round", message.round);
+  util::append_uint(out, "round", message.round);
   append_watts(out, "rack_budget", {&message.rack_budget_watts, 1},
                fidelity);
   append_blocks(out, "policy", message.policies, fidelity);
@@ -370,38 +292,38 @@ std::string serialize(const RackPolicyMessage& message,
 }
 
 SampleMessage parse_sample_message(std::string_view text) {
-  return parse_sample_lines(non_empty_lines(text));
+  return parse_sample_lines(util::non_empty_lines(text));
 }
 
 PolicyMessage parse_policy_message(std::string_view text) {
-  return parse_policy_lines(non_empty_lines(text));
+  return parse_policy_lines(util::non_empty_lines(text));
 }
 
 BudgetMessage parse_budget_message(std::string_view text) {
-  const std::vector<std::string_view> lines = non_empty_lines(text);
+  const std::vector<std::string_view> lines = util::non_empty_lines(text);
   PS_REQUIRE(lines.size() == 4, "budget message needs 4 lines");
   PS_REQUIRE(lines[0] == "powerstack-budget v1",
              "not a v1 budget message");
   BudgetMessage message;
-  message.epoch = parse_keyed_uint(lines[1], "epoch");
+  message.epoch = util::keyed_u64(lines[1], "epoch");
   PS_REQUIRE(message.epoch != 0, "budget epoch must be non-zero");
-  message.budget_watts = parse_watts(keyed_value(lines[2], "budget"), "budget");
+  message.budget_watts = util::keyed_watts(lines[2], "budget");
   PS_REQUIRE(message.budget_watts > 0.0, "budget must be positive");
-  const std::uint64_t emergency = parse_keyed_uint(lines[3], "emergency");
+  const std::uint64_t emergency = util::keyed_u64(lines[3], "emergency");
   PS_REQUIRE(emergency <= 1, "emergency must be 0 or 1");
   message.emergency = emergency == 1;
   return message;
 }
 
 RackSampleMessage parse_rack_sample_message(std::string_view text) {
-  const std::vector<std::string_view> lines = non_empty_lines(text);
+  const std::vector<std::string_view> lines = util::non_empty_lines(text);
   PS_REQUIRE(lines.size() >= 4, "truncated rack sample message");
   PS_REQUIRE(lines[0] == "powerstack-rack-sample v1",
              "not a v1 rack sample message");
   RackSampleMessage message;
   message.rack = parse_rack_name(lines[1]);
-  message.round = parse_keyed_uint(lines[2], "round");
-  const std::uint64_t jobs = parse_keyed_uint(lines[3], "jobs");
+  message.round = util::keyed_u64(lines[2], "round");
+  const std::uint64_t jobs = util::keyed_u64(lines[3], "jobs");
   PS_REQUIRE(jobs > 0, "rack sample message has no jobs");
   message.samples = parse_rack_blocks(lines, 4, jobs, message.round,
                                       "sample", "samples", parse_sample_lines);
@@ -409,18 +331,18 @@ RackSampleMessage parse_rack_sample_message(std::string_view text) {
 }
 
 RackPolicyMessage parse_rack_policy_message(std::string_view text) {
-  const std::vector<std::string_view> lines = non_empty_lines(text);
+  const std::vector<std::string_view> lines = util::non_empty_lines(text);
   PS_REQUIRE(lines.size() >= 5, "truncated rack policy message");
   PS_REQUIRE(lines[0] == "powerstack-rack-policy v1",
              "not a v1 rack policy message");
   RackPolicyMessage message;
   message.rack = parse_rack_name(lines[1]);
-  message.round = parse_keyed_uint(lines[2], "round");
+  message.round = util::keyed_u64(lines[2], "round");
   message.rack_budget_watts =
-      parse_watts(keyed_value(lines[3], "rack_budget"), "rack_budget");
+      util::keyed_watts(lines[3], "rack_budget");
   PS_REQUIRE(message.rack_budget_watts > 0.0,
              "rack budget must be positive");
-  const std::uint64_t jobs = parse_keyed_uint(lines[4], "jobs");
+  const std::uint64_t jobs = util::keyed_u64(lines[4], "jobs");
   PS_REQUIRE(jobs > 0, "rack policy message has no jobs");
   message.policies =
       parse_rack_blocks(lines, 5, jobs, message.round, "policy", "policies",

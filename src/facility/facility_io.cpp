@@ -1,7 +1,5 @@
 #include "facility/facility_io.hpp"
 
-#include <charconv>
-#include <cmath>
 #include <istream>
 #include <ostream>
 #include <string>
@@ -31,25 +29,6 @@ bool needs_sla_columns(std::span<const FacilityJobRecord> jobs) {
     }
   }
   return false;
-}
-
-double parse_double(std::string_view token, std::string_view what) {
-  double value = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  PS_REQUIRE(ec == std::errc{} && ptr == token.data() + token.size() &&
-                 std::isfinite(value),
-             "non-numeric " + std::string(what) + " field");
-  return value;
-}
-
-std::size_t parse_count(std::string_view token, std::string_view what) {
-  std::size_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  PS_REQUIRE(ec == std::errc{} && ptr == token.data() + token.size(),
-             "non-numeric " + std::string(what) + " field");
-  return value;
 }
 
 }  // namespace
@@ -119,22 +98,22 @@ std::vector<FacilityJobRecord> read_jobs_csv(std::istream& in) {
     FacilityJobRecord job;
     job.name = fields[0];
     PS_REQUIRE(!job.name.empty(), "jobs CSV row has an empty job name");
-    job.arrival_hours = parse_double(fields[1], "arrival_hours");
+    job.arrival_hours = util::parse_finite(fields[1], "arrival_hours");
     if (!fields[2].empty()) {
-      job.start_hours = parse_double(fields[2], "start_hours");
+      job.start_hours = util::parse_finite(fields[2], "start_hours");
     }
     if (!fields[3].empty()) {
-      job.finish_hours = parse_double(fields[3], "finish_hours");
+      job.finish_hours = util::parse_finite(fields[3], "finish_hours");
     }
     // fields[4] (wait_hours) is derived from start − arrival; the writer
     // recomputes it, so it is validated for form but not stored.
     if (!fields[4].empty()) {
-      static_cast<void>(parse_double(fields[4], "wait_hours"));
+      static_cast<void>(util::parse_finite(fields[4], "wait_hours"));
     }
     PS_REQUIRE(fields[2].empty() == fields[4].empty(),
                "wait_hours must be present exactly when start_hours is");
-    job.restarts = parse_count(fields[5], "restarts");
-    job.energy_joules = parse_double(fields[6], "energy_joules");
+    job.restarts = util::parse_u64(fields[5], "restarts");
+    job.energy_joules = util::parse_finite(fields[6], "energy_joules");
     if (sla) {
       job.sla_class = sim::parse_sla_class(fields[7]);
       PS_REQUIRE(fields[8] == "0" || fields[8] == "1",

@@ -1,8 +1,5 @@
 #include "ha/replication.hpp"
 
-#include <charconv>
-#include <sstream>
-
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -14,21 +11,6 @@ constexpr std::string_view kSyncHeader = "powerstack-ha-sync v1";
 constexpr std::string_view kUpdateHeader = "powerstack-ha-update v1";
 constexpr std::string_view kHeartbeatHeader = "powerstack-ha-heartbeat v1";
 constexpr std::string_view kAckHeader = "powerstack-ha-ack v1";
-
-std::uint64_t parse_u64(std::string_view token, std::string_view what) {
-  std::uint64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  PS_REQUIRE(ec == std::errc{} && ptr == token.data() + token.size(),
-             "non-numeric " + std::string(what) + " field");
-  return value;
-}
-
-std::string_view expect_field(std::string_view line, std::string_view key) {
-  PS_REQUIRE(util::starts_with(line, key),
-             "expected '" + std::string(key) + "' line");
-  return util::trim(line.substr(key.size()));
-}
 
 /// Consumes one '\n'-terminated line from `payload` starting at `pos`.
 std::string_view take_line(std::string_view payload, std::size_t& pos,
@@ -63,35 +45,31 @@ HaMessageKind ha_message_kind(std::string_view payload) {
 }
 
 std::string serialize(const HaSyncRequest& message) {
-  std::ostringstream out;
-  out << kSyncHeader << '\n';
-  out << "fence " << message.fence_epoch << '\n';
-  return out.str();
+  std::string out = std::string(kSyncHeader) + '\n';
+  util::append_uint(out, "fence", message.fence_epoch);
+  return out;
 }
 
 std::string serialize(const HaStateUpdate& message) {
-  std::ostringstream out;
-  out << kUpdateHeader << '\n';
-  out << "fence " << message.fence_epoch << '\n';
-  out << "rounds " << message.rounds << '\n';
-  out << "state" << '\n';
-  out << net::serialize(message.state);
-  return out.str();
+  std::string out = std::string(kUpdateHeader) + '\n';
+  util::append_uint(out, "fence", message.fence_epoch);
+  util::append_uint(out, "rounds", message.rounds);
+  out += "state\n";
+  out += net::serialize(message.state);
+  return out;
 }
 
 std::string serialize(const HaHeartbeat& message) {
-  std::ostringstream out;
-  out << kHeartbeatHeader << '\n';
-  out << "fence " << message.fence_epoch << '\n';
-  out << "rounds " << message.rounds << '\n';
-  return out.str();
+  std::string out = std::string(kHeartbeatHeader) + '\n';
+  util::append_uint(out, "fence", message.fence_epoch);
+  util::append_uint(out, "rounds", message.rounds);
+  return out;
 }
 
 std::string serialize(const HaAck& message) {
-  std::ostringstream out;
-  out << kAckHeader << '\n';
-  out << "rounds " << message.rounds << '\n';
-  return out.str();
+  std::string out = std::string(kAckHeader) + '\n';
+  util::append_uint(out, "rounds", message.rounds);
+  return out;
 }
 
 HaSyncRequest parse_sync_request(std::string_view payload) {
@@ -99,8 +77,9 @@ HaSyncRequest parse_sync_request(std::string_view payload) {
   PS_REQUIRE(take_line(payload, pos, "ha sync") == kSyncHeader,
              "not a ha sync request");
   HaSyncRequest message;
-  message.fence_epoch = parse_u64(
-      expect_field(take_line(payload, pos, "ha sync"), "fence "), "fence");
+  message.fence_epoch = util::parse_u64(
+      util::expect_field(take_line(payload, pos, "ha sync"), "fence "),
+      "fence");
   PS_REQUIRE(pos == payload.size(), "unexpected trailing ha sync bytes");
   return message;
 }
@@ -110,10 +89,11 @@ HaStateUpdate parse_state_update(std::string_view payload) {
   PS_REQUIRE(take_line(payload, pos, "ha update") == kUpdateHeader,
              "not a ha state update");
   HaStateUpdate message;
-  message.fence_epoch = parse_u64(
-      expect_field(take_line(payload, pos, "ha update"), "fence "), "fence");
-  message.rounds = parse_u64(
-      expect_field(take_line(payload, pos, "ha update"), "rounds "),
+  message.fence_epoch = util::parse_u64(
+      util::expect_field(take_line(payload, pos, "ha update"), "fence "),
+      "fence");
+  message.rounds = util::parse_u64(
+      util::expect_field(take_line(payload, pos, "ha update"), "rounds "),
       "rounds");
   PS_REQUIRE(take_line(payload, pos, "ha update") == "state",
              "expected 'state' marker line");
@@ -132,11 +112,11 @@ HaHeartbeat parse_heartbeat(std::string_view payload) {
   PS_REQUIRE(take_line(payload, pos, "ha heartbeat") == kHeartbeatHeader,
              "not a ha heartbeat");
   HaHeartbeat message;
-  message.fence_epoch = parse_u64(
-      expect_field(take_line(payload, pos, "ha heartbeat"), "fence "),
+  message.fence_epoch = util::parse_u64(
+      util::expect_field(take_line(payload, pos, "ha heartbeat"), "fence "),
       "fence");
-  message.rounds = parse_u64(
-      expect_field(take_line(payload, pos, "ha heartbeat"), "rounds "),
+  message.rounds = util::parse_u64(
+      util::expect_field(take_line(payload, pos, "ha heartbeat"), "rounds "),
       "rounds");
   PS_REQUIRE(pos == payload.size(),
              "unexpected trailing ha heartbeat bytes");
@@ -148,8 +128,9 @@ HaAck parse_ack(std::string_view payload) {
   PS_REQUIRE(take_line(payload, pos, "ha ack") == kAckHeader,
              "not a ha ack");
   HaAck message;
-  message.rounds = parse_u64(
-      expect_field(take_line(payload, pos, "ha ack"), "rounds "), "rounds");
+  message.rounds = util::parse_u64(
+      util::expect_field(take_line(payload, pos, "ha ack"), "rounds "),
+      "rounds");
   PS_REQUIRE(pos == payload.size(), "unexpected trailing ha ack bytes");
   return message;
 }

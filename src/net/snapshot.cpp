@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -15,44 +14,6 @@
 #include "util/strings.hpp"
 
 namespace ps::net {
-
-namespace {
-
-std::string format_exact(double value) {
-  char buffer[32];
-  const auto [ptr, ec] =
-      std::to_chars(buffer, buffer + sizeof(buffer), value);
-  PS_REQUIRE(ec == std::errc{}, "unencodable watt value");
-  return std::string(buffer, ptr);
-}
-
-double parse_watts(std::string_view token, std::string_view what) {
-  double value = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  PS_REQUIRE(ec == std::errc{} && ptr == token.data() + token.size(),
-             "non-numeric " + std::string(what) + " field");
-  PS_REQUIRE(std::isfinite(value), std::string(what) + " must be finite");
-  PS_REQUIRE(value >= 0.0, std::string(what) + " must be non-negative");
-  return value;
-}
-
-std::uint64_t parse_u64(std::string_view token, std::string_view what) {
-  std::uint64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  PS_REQUIRE(ec == std::errc{} && ptr == token.data() + token.size(),
-             "non-numeric " + std::string(what) + " field");
-  return value;
-}
-
-std::string_view expect_field(std::string_view line, std::string_view key) {
-  PS_REQUIRE(util::starts_with(line, key),
-             "expected '" + std::string(key) + "' line");
-  return util::trim(line.substr(key.size()));
-}
-
-}  // namespace
 
 double DaemonSnapshot::allocated_watts() const {
   double total = 0.0;
@@ -81,56 +42,40 @@ std::string serialize(const DaemonSnapshot& snapshot) {
   if (v4) {
     any_gpu = true;
   }
-  std::ostringstream out;
-  out << (v4        ? "powerstack-snapshot v4\n"
-          : any_gpu ? "powerstack-snapshot v3\n"
-                    : "powerstack-snapshot v2\n");
-  out << "budget " << format_exact(snapshot.system_budget_watts) << '\n';
-  out << "budget_epoch " << snapshot.budget_epoch << '\n';
+  std::string out = v4        ? "powerstack-snapshot v4\n"
+                    : any_gpu ? "powerstack-snapshot v3\n"
+                              : "powerstack-snapshot v2\n";
+  util::append_watts(out, "budget", {&snapshot.system_budget_watts, 1});
+  util::append_uint(out, "budget_epoch", snapshot.budget_epoch);
   if (v4) {
-    out << "fence " << snapshot.fence_epoch << '\n';
+    util::append_uint(out, "fence", snapshot.fence_epoch);
   }
-  out << "barrier " << (snapshot.launch_barrier_met ? 1 : 0) << '\n';
-  out << "allocations " << snapshot.allocations << '\n';
-  out << "jobs " << snapshot.jobs.size() << '\n';
+  util::append_uint(out, "barrier", snapshot.launch_barrier_met ? 1 : 0);
+  util::append_uint(out, "allocations", snapshot.allocations);
+  util::append_uint(out, "jobs", snapshot.jobs.size());
   for (const SnapshotJob& job : snapshot.jobs) {
-    out << "job " << job.name << '\n';
-    out << "sequence " << job.sequence << '\n';
-    out << "caps";
-    for (const double cap : job.caps_watts) {
-      out << ' ' << format_exact(cap);
-    }
-    out << '\n';
+    out.append("job ").append(job.name) += '\n';
+    util::append_uint(out, "sequence", job.sequence);
+    util::append_watts(out, "caps", job.caps_watts);
     if (any_gpu) {
       // v3 keeps the per-job line count fixed: single-domain jobs of a
       // mixed cluster write a bare `gpu_caps` line.
-      out << "gpu_caps";
-      for (const double cap : job.gpu_caps_watts) {
-        out << ' ' << format_exact(cap);
-      }
-      out << '\n';
+      util::append_watts(out, "gpu_caps", job.gpu_caps_watts);
     }
   }
-  std::string body = out.str();
   char checksum[32];  // "checksum " + 8 hex digits + '\n' + NUL = 20 bytes
-  std::snprintf(checksum, sizeof(checksum), "checksum %08x\n",
-                crc32(body));
-  body += checksum;
-  return body;
+  std::snprintf(checksum, sizeof(checksum), "checksum %08x\n", crc32(out));
+  out += checksum;
+  return out;
 }
 
 DaemonSnapshot parse_snapshot(std::string_view text) {
-  std::vector<std::string> lines;
-  for (const std::string& line : util::split(text, '\n')) {
-    if (!util::trim(line).empty()) {
-      lines.push_back(line);
-    }
-  }
+  const std::vector<std::string_view> lines = util::non_empty_lines(text);
   PS_REQUIRE(lines.size() >= 6, "snapshot is truncated");
 
   // The checksum line guards everything before it, byte for byte.
-  const std::string& last = lines.back();
-  const std::string_view checksum_token = expect_field(last, "checksum ");
+  const std::string_view checksum_token =
+      util::expect_field(lines.back(), "checksum ");
   const std::size_t body_end = text.rfind("checksum ");
   PS_REQUIRE(body_end != std::string_view::npos, "missing checksum line");
   std::uint32_t expected = 0;
@@ -152,62 +97,56 @@ DaemonSnapshot parse_snapshot(std::string_view text) {
              "not a v1/v2/v3/v4 snapshot");
   DaemonSnapshot snapshot;
   snapshot.system_budget_watts =
-      parse_watts(expect_field(lines[1], "budget "), "budget");
+      util::parse_watts(util::expect_field(lines[1], "budget "), "budget");
   PS_REQUIRE(snapshot.system_budget_watts > 0.0,
              "snapshot budget must be positive");
   std::size_t next = 2;
   if (v2) {
-    snapshot.budget_epoch = parse_u64(
-        expect_field(lines[next], "budget_epoch "), "budget_epoch");
+    snapshot.budget_epoch = util::parse_u64(
+        util::expect_field(lines[next], "budget_epoch "), "budget_epoch");
     ++next;
   }
   if (v4) {
     snapshot.fence_epoch =
-        parse_u64(expect_field(lines[next], "fence "), "fence");
+        util::parse_u64(util::expect_field(lines[next], "fence "), "fence");
     PS_REQUIRE(snapshot.fence_epoch != 0,
                "v4 snapshot fence must be non-zero");
     ++next;
   }
-  const std::string_view barrier = expect_field(lines[next], "barrier ");
+  const std::string_view barrier = util::expect_field(lines[next], "barrier ");
   PS_REQUIRE(barrier == "0" || barrier == "1", "barrier must be 0 or 1");
   snapshot.launch_barrier_met = barrier == "1";
   ++next;
-  snapshot.allocations =
-      parse_u64(expect_field(lines[next], "allocations "), "allocations");
+  snapshot.allocations = util::parse_u64(
+      util::expect_field(lines[next], "allocations "), "allocations");
   ++next;
   const std::uint64_t job_count =
-      parse_u64(expect_field(lines[next], "jobs "), "jobs");
+      util::parse_u64(util::expect_field(lines[next], "jobs "), "jobs");
   ++next;
   const std::uint64_t lines_per_job = v3 ? 4 : 3;
   PS_REQUIRE(lines.size() == next + 1 + lines_per_job * job_count,
              "snapshot job count disagrees with its body");
 
-  std::set<std::string> seen;
+  std::set<std::string_view> seen;
+  // Sized by the body, not by the (possibly hostile) count.
+  snapshot.jobs.reserve((lines.size() - next - 1) / lines_per_job);
   for (std::uint64_t j = 0; j < job_count; ++j) {
     const std::size_t base = next + lines_per_job * j;
+    const std::string_view name = util::expect_field(lines[base], "job ");
+    PS_REQUIRE(!name.empty(), "empty job name");
+    PS_REQUIRE(seen.insert(name).second,
+               "duplicate job '" + std::string(name) + "' in snapshot");
     SnapshotJob job;
-    job.name = std::string(expect_field(lines[base], "job "));
-    PS_REQUIRE(!job.name.empty(), "empty job name");
-    PS_REQUIRE(seen.insert(job.name).second,
-               "duplicate job '" + job.name + "' in snapshot");
-    job.sequence =
-        parse_u64(expect_field(lines[base + 1], "sequence "), "sequence");
-    const std::string_view caps = expect_field(lines[base + 2], "caps");
-    for (const std::string& token : util::split(caps, ' ')) {
-      if (!token.empty()) {
-        job.caps_watts.push_back(parse_watts(token, "caps"));
-      }
-    }
+    job.name = name;
+    job.sequence = util::parse_u64(
+        util::expect_field(lines[base + 1], "sequence "), "sequence");
+    job.caps_watts = util::parse_watts_list(
+        util::expect_field(lines[base + 2], "caps"), "caps");
     PS_REQUIRE(!job.caps_watts.empty(),
                "job '" + job.name + "' has no caps");
     if (v3) {
-      const std::string_view gpu_caps =
-          expect_field(lines[base + 3], "gpu_caps");
-      for (const std::string& token : util::split(gpu_caps, ' ')) {
-        if (!token.empty()) {
-          job.gpu_caps_watts.push_back(parse_watts(token, "gpu_caps"));
-        }
-      }
+      job.gpu_caps_watts = util::parse_watts_list(
+          util::expect_field(lines[base + 3], "gpu_caps"), "gpu_caps");
       PS_REQUIRE(job.gpu_caps_watts.empty() ||
                      job.gpu_caps_watts.size() == job.caps_watts.size(),
                  "job '" + job.name +

@@ -1,38 +1,11 @@
 #include "util/args.hpp"
 
-#include <charconv>
 #include <sstream>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace ps::util {
-
-namespace {
-/// Parses all of `text` as a T, or throws InvalidArgument naming the
-/// option. from_chars takes no leading whitespace or '+', and a '-' only
-/// for signed and floating types, so a negative count never wraps.
-template <typename T>
-T parse_whole(std::string_view name, std::string_view text,
-              const char* kind) {
-  T value{};
-  const char* const end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, value);
-  if (error != std::errc() || stop != end) {
-    throw InvalidArgument("option '" + std::string(name) + "' is not " +
-                          kind + ": '" + std::string(text) + "'");
-  }
-  return value;
-}
-}  // namespace
-
-std::size_t parse_count(std::string_view name, std::string_view text) {
-  return parse_whole<std::size_t>(name, text, "a count");
-}
-
-double parse_number(std::string_view name, std::string_view text) {
-  return parse_whole<double>(name, text, "a number");
-}
 
 ArgParser& ArgParser::add_flag(std::string name, std::string help) {
   PS_REQUIRE(starts_with(name, "--"), "option names start with --");

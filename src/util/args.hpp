@@ -8,14 +8,6 @@
 
 namespace ps::util {
 
-/// Every command-line number parses whole (std::from_chars, nothing
-/// before or after it) and a count takes no sign; otherwise these throw
-/// ps::InvalidArgument naming the option `name`.
-[[nodiscard]] std::size_t parse_count(std::string_view name,
-                                      std::string_view text);
-[[nodiscard]] double parse_number(std::string_view name,
-                                  std::string_view text);
-
 /// Minimal command-line parser for the benches, tools, and examples:
 /// long options only (`--name value` or boolean `--flag`), declared up
 /// front, with typed accessors and defaults. Unknown options throw

@@ -82,4 +82,38 @@ std::string format_seconds(double seconds, int precision) {
   return format_fixed(seconds, precision) + " s";
 }
 
+namespace {
+template <typename T, typename Read>
+T parse_operand(std::string_view option, std::string_view text,
+                const char* kind, Read read) {
+  T value{};
+  if (!read(text, value)) {
+    throw InvalidArgument("option '" + std::string(option) + "' is not " +
+                          kind + ": '" + std::string(text) + "'");
+  }
+  return value;
+}
+}  // namespace
+
+std::size_t parse_count(std::string_view option, std::string_view text) {
+  return parse_operand<std::size_t>(option, text, "a count",
+                                    read_whole<std::size_t>);
+}
+
+double parse_number(std::string_view option, std::string_view text) {
+  return parse_operand<double>(option, text, "a number", read_finite);
+}
+
+double parse_non_negative(std::string_view option, std::string_view text) {
+  return parse_operand<double>(option, text, "a non-negative number",
+                               read_non_negative);
+}
+
+std::vector<std::string_view> non_empty_lines(std::string_view text) {
+  std::vector<std::string_view> lines;
+  for_each_non_empty_line(
+      text, [&lines](std::string_view line) { lines.push_back(line); });
+  return lines;
+}
+
 }  // namespace ps::util

@@ -83,7 +83,8 @@ TEST(ArgParserTest, CountsRejectSignsTrailingGarbageAndOverflow) {
 }
 
 TEST(ArgParserTest, NumbersRejectTrailingGarbage) {
-  for (const char* text : {"1.5x", "x1.5", "1.5 ", " 1.5", "", "1e", "--1"}) {
+  for (const char* text : {"1.5x", "x1.5", "1.5 ", " 1.5", "", "1e", "--1",
+                           "nan", "inf", "-inf"}) {
     ArgParser parser = make_parser();
     parse(parser, {"--rate", text});
     EXPECT_THROW(static_cast<void>(parser.option_double("--rate")),
