@@ -5,7 +5,6 @@
 //
 //   ./cluster_operator [--nodes N]
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string_view>
 
@@ -22,7 +21,12 @@ int main(int argc, char** argv) {
   std::size_t nodes = 32;
   for (int i = 1; i < argc; ++i) {
     if (std::string_view(argv[i]) == "--nodes" && i + 1 < argc) {
-      nodes = std::strtoul(argv[++i], nullptr, 10);
+      try {
+        nodes = util::parse_count("--nodes", argv[++i]);
+      } catch (const InvalidArgument& error) {
+        std::fprintf(stderr, "%s\n", error.what());
+        return 2;
+      }
     }
   }
 

@@ -6,13 +6,13 @@
 //
 //   ./facility_planning [--nodes N]
 #include <cstdio>
-#include <cstdlib>
 #include <string_view>
 
 #include "analysis/experiment.hpp"
 #include "sim/facility_trace.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
+#include "util/strings.hpp"
 
 int main(int argc, char** argv) {
   using namespace ps;
@@ -20,8 +20,12 @@ int main(int argc, char** argv) {
   std::size_t nodes_per_job = 12;
   for (int i = 1; i < argc; ++i) {
     if (std::string_view(argv[i]) == "--nodes" && i + 1 < argc) {
-      nodes_per_job =
-          static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
+      try {
+        nodes_per_job = util::parse_count("--nodes", argv[++i]);
+      } catch (const InvalidArgument& error) {
+        std::fprintf(stderr, "%s\n", error.what());
+        return 2;
+      }
     }
   }
 

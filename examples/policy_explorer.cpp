@@ -6,7 +6,6 @@
 //   ./policy_explorer WastefulPower max MixedAdaptive
 //   ./policy_explorer --list
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string_view>
 
@@ -79,7 +78,12 @@ int main(int argc, char** argv) {
   std::size_t nodes = 12;
   for (int i = 4; i < argc; ++i) {
     if (std::string_view(argv[i]) == "--nodes" && i + 1 < argc) {
-      nodes = std::strtoul(argv[++i], nullptr, 10);
+      try {
+        nodes = util::parse_count("--nodes", argv[++i]);
+      } catch (const InvalidArgument& error) {
+        std::fprintf(stderr, "%s\n", error.what());
+        return 2;
+      }
     }
   }
 

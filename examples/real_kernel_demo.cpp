@@ -7,19 +7,25 @@
 //   ./real_kernel_demo [threads]
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 
 #include "kernel/arithmetic_kernel.hpp"
 #include "util/table.hpp"
+#include "util/strings.hpp"
 
 int main(int argc, char** argv) {
   using namespace ps;
   const std::size_t cores =
       std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
-  const std::size_t threads = argc > 1
-                                  ? std::strtoul(argv[1], nullptr, 10)
-                                  : std::clamp<std::size_t>(cores, 1, 4);
+  std::size_t threads = std::clamp<std::size_t>(cores, 1, 4);
+  if (argc > 1) {
+    try {
+      threads = util::parse_count("threads", argv[1]);
+    } catch (const InvalidArgument& error) {
+      std::fprintf(stderr, "%s\n", error.what());
+      return 2;
+    }
+  }
 
   std::printf("Arithmetic-intensity kernel, %zu threads, native "
               "execution (%zu hardware threads)\n\n", threads, cores);

@@ -82,14 +82,17 @@ WorkloadConfig parse_workload(std::string_view name) {
              "third field must be 'w<waiting percent>'");
   PS_REQUIRE(pieces[3].size() > 1 && pieces[3][0] == 'x',
              "fourth field must be 'x<imbalance>'");
-  try {
-    config.intensity = std::stod(pieces[1].substr(1));
-    config.waiting_fraction = std::stod(pieces[2].substr(1)) / 100.0;
-    config.imbalance = std::stod(pieces[3].substr(1));
-  } catch (const std::exception&) {
+  const auto number = [](std::string_view piece, double& value) {
+    return util::read_finite(piece.substr(1), value);
+  };
+  double waiting_percent = 0.0;
+  if (!number(pieces[1], config.intensity) ||
+      !number(pieces[2], waiting_percent) ||
+      !number(pieces[3], config.imbalance)) {
     throw InvalidArgument("workload name '" + std::string(name) +
                           "' has non-numeric fields");
   }
+  config.waiting_fraction = waiting_percent / 100.0;
   config.validate();
   return config;
 }

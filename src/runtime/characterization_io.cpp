@@ -88,16 +88,16 @@ CharacterizationStore read_store_csv(std::string_view text) {
     PS_REQUIRE(fields.size() == 5, "characterization CSV line " +
                                        std::to_string(line_number) +
                                        " needs 5 fields");
+    // A host index is a whole count and every watt field is a whole,
+    // finite, non-negative number.
     double monitor = 0.0;
     double needed = 0.0;
     double min_cap = 0.0;
     std::size_t host = 0;
-    try {
-      host = std::stoul(fields[1]);
-      monitor = std::stod(fields[2]);
-      needed = std::stod(fields[3]);
-      min_cap = std::stod(fields[4]);
-    } catch (const std::exception&) {
+    if (!util::read_whole(fields[1], host) ||
+        !util::read_non_negative(fields[2], monitor) ||
+        !util::read_non_negative(fields[3], needed) ||
+        !util::read_non_negative(fields[4], min_cap)) {
       throw InvalidArgument("characterization CSV line " +
                             std::to_string(line_number) +
                             " is not numeric");

@@ -117,6 +117,14 @@ TEST(ParseWorkloadTest, RejectsMalformedNames) {
                ps::InvalidArgument);
   EXPECT_THROW(static_cast<void>(parse_workload("ymm-iq-w50-x2")),
                ps::InvalidArgument);
+  // Each number is one whole token: no trailing garbage, no inner space,
+  // no base prefix, nothing infinite.
+  for (const char* name : {"ymm-i8abc-w50-x2", "ymm-i 8-w50-x2",
+                           "ymm-i0x8-w50-x2", "ymm-iinf-w50-x2"}) {
+    EXPECT_THROW(static_cast<void>(parse_workload(name)),
+                 ps::InvalidArgument)
+        << name;
+  }
   // Validation still applies: waiting fraction must stay below 1.
   EXPECT_THROW(static_cast<void>(parse_workload("ymm-i8-w100-x2")),
                ps::InvalidArgument);

@@ -84,6 +84,27 @@ TEST(CharacterizationIoTest, MalformedRowsRejected) {
                ps::InvalidArgument);
 }
 
+TEST(CharacterizationIoTest, NumbersFailClosedNamingTheLine) {
+  // Every field is one whole token: a host is a count, and each watt
+  // field is finite and not negative.
+  for (const char* row :
+       {"jobA,0,200.5abc,152.0,152.0", "jobA,0,nan,152.0,152.0",
+        "jobA,0,214.0,inf,152.0", "jobA, 0,214.0,152.0,152.0",
+        "jobA,0,214.0, 0,152.0", "jobA,0x0,214.0,152.0,152.0",
+        "jobA,0,214.0,152.0,-152.0"}) {
+    const std::string csv =
+        "job,host,monitor_watts,needed_watts,min_cap_watts\n" +
+        std::string(row) + "\n";
+    try {
+      static_cast<void>(read_store_csv(csv));
+      ADD_FAILURE() << "accepted '" << row << "'";
+    } catch (const ps::InvalidArgument& error) {
+      EXPECT_NE(std::string(error.what()).find("line 2 "), std::string::npos)
+          << error.what();
+    }
+  }
+}
+
 TEST(CharacterizationIoTest, EmptyInputGivesEmptyStore) {
   EXPECT_EQ(read_store_csv("").size(), 0u);
 }

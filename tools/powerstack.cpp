@@ -141,8 +141,9 @@ void check_endpoint(std::string_view option, std::string_view endpoint) {
 }
 
 /// Parses the subcommand's flags. Numbers follow util::parse_count /
-/// parse_number (the whole string must parse; a count takes no sign); an
-/// unknown flag, a missing value or a malformed number throws
+/// parse_non_negative (the whole string must parse; a count takes no
+/// sign; watts, seconds, hours and shares are finite and not negative);
+/// an unknown flag, a missing value or a malformed number throws
 /// InvalidArgument, which main() reports on one line with exit status 2.
 Args parse_args(int argc, char** argv) {
   Args args;
@@ -159,7 +160,9 @@ Args parse_args(int argc, char** argv) {
       return argv[++i];
     };
     const auto count = [&] { return util::parse_count(arg, value()); };
-    const auto number = [&] { return util::parse_number(arg, value()); };
+    const auto amount = [&] {
+      return util::parse_non_negative(arg, value());
+    };
     if (arg == "--workload") {
       args.workload = value();
     } else if (arg == "--mix") {
@@ -171,7 +174,7 @@ Args parse_args(int argc, char** argv) {
     } else if (arg == "--nodes") {
       args.nodes = count();
     } else if (arg == "--hours") {
-      args.hours = number();
+      args.hours = amount();
     } else if (arg == "--backfill") {
       args.backfill = true;
     } else if (arg == "--quick") {
@@ -181,19 +184,19 @@ Args parse_args(int argc, char** argv) {
     } else if (arg == "--tcp") {
       args.tcp_port = parse_port(arg, value());
     } else if (arg == "--budget") {
-      args.budget_watts = number();
+      args.budget_watts = amount();
     } else if (arg == "--min-jobs") {
       args.min_jobs = count();
     } else if (arg == "--iterations") {
       args.iterations = count();
     } else if (arg == "--duration") {
-      args.duration_seconds = number();
+      args.duration_seconds = amount();
     } else if (arg == "--snapshot") {
       args.snapshot_path = value();
     } else if (arg == "--job") {
       args.job_name = value();
     } else if (arg == "--budget-share") {
-      args.budget_share = number();
+      args.budget_share = amount();
     } else if (arg == "--brownout") {
       args.brownout = true;
     } else if (arg == "--ha-socket") {
