@@ -141,6 +141,7 @@ inline void for_each_non_empty_line(std::string_view text, Visit visit) {
   return values;
 }
 
+/// The reject message of a missing field line.
 [[nodiscard]] inline std::string expected_line(std::string_view key) {
   return "expected '" + std::string(key) + "' line";
 }
